@@ -28,6 +28,7 @@ from .errors import (
 )
 from .groebner import Ideal
 from .modules import (
+    Matrix,
     ModuleMap,
     ModulePres,
     Resolution,
@@ -47,7 +48,6 @@ from .modules import (
     quotient_by_prime,
     quotient_module,
     residue_field,
-    resolution,
     strip_free,
     syzygy,
 )

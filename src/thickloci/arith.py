@@ -218,16 +218,14 @@ class PolyRing:
             return self.zero()
         return Poly(self, {tuple(exps): coeff})
 
-    def with_order(self, order):
-        return PolyRing(self.field, self.vars, order, self.weights)
-
     def extended(self, extra_vars, order=None):
         """Ring with `extra_vars` prepended (used for elimination)."""
         order = order or EliminationOrder(len(extra_vars), self.order)
         return PolyRing(self.field, tuple(extra_vars) + self.vars, order, (1,) * len(extra_vars) + self.weights)
 
     def parse(self, src):
-        return _parse_poly(src, self)
+        """Parse `src` in the fixed grammar; parse(print(f)) == f."""
+        return _Parser(src, self).parse()
 
 
 class Poly:
@@ -357,28 +355,6 @@ class Poly:
                 terms[tuple(ne)] = v
         return Poly(self.ring, terms)
 
-    def substitute(self, assignment):
-        """Substitute variables by polynomials; assignment maps name -> Poly."""
-        result = self.ring.zero()
-        values = []
-        for v in self.ring.vars:
-            if v in assignment:
-                val = assignment[v]
-                if not isinstance(val, Poly):
-                    val = self.ring.constant(val)
-                elif val.ring != self.ring:
-                    raise RingMismatchError("substitution value over a different ring")
-                values.append(val)
-            else:
-                values.append(self.ring.var(v))
-        for e, c in self.terms.items():
-            term = self.ring.constant(c)
-            for i, exp in enumerate(e):
-                if exp:
-                    term = term * values[i] ** exp
-            result = result + term
-        return result
-
     def lift_to(self, ring):
         """Reinterpret over a ring whose variables contain ours by name."""
         idx = [ring.vars.index(v) for v in self.ring.vars]
@@ -490,11 +466,6 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_op(self, op):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise PolyParseError(f"expected {op!r}", pos)
-
     def parse(self):
         poly = self._signed_term(allow_sign=True)
         while True:
@@ -572,13 +543,3 @@ class _Parser:
                     continue
             break
         return self.ring.monomial(exps)
-
-
-def _parse_poly(src, ring):
-    poly = _Parser(src, ring).parse()
-    return poly
-
-
-def parse_poly(src, ring):
-    """Parse `src` in the fixed grammar over `ring`; parse(print(f)) == f."""
-    return _parse_poly(src, ring)

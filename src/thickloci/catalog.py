@@ -93,10 +93,6 @@ def ring_from_json(data):
     )
 
 
-def module_from_json(ring, matrix):
-    return ModulePres(ring, matrix)
-
-
 def _load_json(name):
     if name not in CATALOG_NAMES:
         raise ValidationError(f"unknown catalog ring {name!r}")
@@ -108,7 +104,7 @@ def _load_json(name):
 def load(name):
     data = _load_json(name)
     ring = ring_from_json(data)
-    samples = {k: module_from_json(ring, m) for k, m in data.get("samples", {}).items()}
+    samples = {k: ModulePres(ring, m) for k, m in data.get("samples", {}).items()}
     sequences = []
     for s in data.get("sequences", []):
         sub, mid, quot = samples[s["sub"]], samples[s["mid"]], samples[s["quot"]]
@@ -133,10 +129,6 @@ def load(name):
     return cat
 
 
-def load_all():
-    return [load(n) for n in CATALOG_NAMES]
-
-
 # ---------------------------------------------------------------------------
 # omega table certification
 
@@ -144,7 +136,7 @@ def load_all():
 def _module_invariants(module, steps=4):
     res = Resolution(module)
     betti = res.betti_numbers(steps)
-    fitts = tuple(i.groebner_basis() for i in fitting_chain(module).ideals)
+    fitts = tuple(i.groebner_basis() for i in fitting_chain(module))
     ann = annihilator(module).groebner_basis()
     locus = nonfree_locus(module).member_names
     return (betti, fitts, ann, locus)

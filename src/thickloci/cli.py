@@ -11,11 +11,10 @@ import argparse
 import json
 import sys
 
-from .catalog import CATALOG_NAMES, load, module_from_json, ring_from_json
+from .catalog import CATALOG_NAMES, load, ring_from_json
 from .classify import (
     SETTINGS,
     diagram_check,
-    inverse_descriptor,
     locus,
     make_descriptor,
     membership,
@@ -24,9 +23,9 @@ from .classify import (
 )
 from .complexes import ComplexHandle, ComplexMap, stabilize, w_locus
 from .errors import ResourceBudgetError, ThickLociError
-from .modules import fitting_chain, nonfree_locus, pd_finite, q_locus, resolution, syzygy
+from .modules import ModulePres, Resolution, fitting_chain, nonfree_locus, pd_finite, q_locus, syzygy
 from .spectra import singular_locus
-from .verify import reports_for, ring_case, run_all
+from .verify import reports_for, run_all
 
 
 class UsageError(Exception):
@@ -58,7 +57,7 @@ def resolve_module(ref, ring=None):
     with open(name) as fh:
         data = json.load(fh)
     ring = ring or _ring_from_field(data.get("ring"))
-    return module_from_json(ring, data["matrix"])
+    return ModulePres(ring, data["matrix"])
 
 
 def _ring_from_field(entry):
@@ -69,15 +68,13 @@ def _ring_from_field(entry):
     return ring_from_json(entry)
 
 
-def complex_from_json(ring, data, samples=None):
+def complex_from_json(ring, data):
     kind = data["kind"]
     if kind == "delta":
         mod = data["module"]
         if isinstance(mod, str):
-            mod = (samples or {})[mod]
-        else:
-            mod = module_from_json(ring, mod["matrix"] if isinstance(mod, dict) else mod)
-        return ComplexHandle.delta(mod)
+            raise UsageError(f"module {mod!r} inside a complex must be given by its matrix")
+        return ComplexHandle.delta(ModulePres(ring, mod["matrix"] if isinstance(mod, dict) else mod))
     if kind == "free":
         lo, hi = data["range"]
         ranks = data["ranks"]
@@ -85,11 +82,11 @@ def complex_from_json(ring, data, samples=None):
             raise UsageError("free complex ranks must cover the degree range")
         return ComplexHandle.free(ring, lo, ranks, {int(k): v for k, v in data.get("diffs", {}).items()})
     if kind == "shift":
-        return ComplexHandle.shift(complex_from_json(ring, data["of"], samples), data["by"])
+        return ComplexHandle.shift(complex_from_json(ring, data["of"]), data["by"])
     if kind == "cone":
         m = data["map"]
-        src = complex_from_json(ring, m["source"], samples)
-        tgt = complex_from_json(ring, m["target"], samples)
+        src = complex_from_json(ring, m["source"])
+        tgt = complex_from_json(ring, m["target"])
         cmap = ComplexMap(src, tgt, {int(k): v for k, v in m.get("components", {}).items()})
         return ComplexHandle.cone(cmap)
     raise UsageError(f"unknown complex kind {kind!r}")
@@ -104,8 +101,7 @@ def resolve_complex(ref):
     with open(name) as fh:
         data = json.load(fh)
     ring = _ring_from_field(data.get("ring"))
-    cat_samples = None
-    return complex_from_json(ring, data["complex"], cat_samples)
+    return complex_from_json(ring, data["complex"])
 
 
 def _matrix_out(module):
@@ -181,17 +177,15 @@ def cmd_module(args):
         om = syzygy(module, args.n)
         return {"n": args.n, "matrix": _matrix_out(om), "rows": om.rows, "cols": om.cols}, 0
     if args.action == "resolve":
-        res = resolution(module, args.steps)
-        return {"betti": list(res.betti_numbers(args.steps))}, 0
+        return {"betti": list(Resolution(module).betti_numbers(args.steps))}, 0
     if args.action == "locus":
         return {
             "nonfree_locus": sorted(nonfree_locus(module).member_names),
             "infinite_pd_locus": sorted(q_locus(module).member_names),
         }, 0
     if args.action == "fitting":
-        chain = fitting_chain(module)
         return {
-            "fitting": [sorted(str(g) for g in i.groebner_basis()) for i in chain.ideals]
+            "fitting": [sorted(str(g) for g in i.groebner_basis()) for i in fitting_chain(module)]
         }, 0
     raise UsageError(f"unknown module action {args.action!r}")
 
@@ -278,7 +272,6 @@ def cmd_verify(args):
 def build_parser():
     p = argparse.ArgumentParser(prog="thickloci")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("catalog")

@@ -1,21 +1,22 @@
-"""Bounded complexes of R-modules through a small node grammar.
+"""Bounded complexes of R-modules as a small hierarchy of nodes.
 
 A complex is one of: a module placed in degree 0, an explicit bounded free
-complex, a shift, or the mapping cone of a chain map.  Each handle lazily
-emits a free model (complex of finite free modules, quasi-isomorphic to it,
-living in homological degrees lo..infinity with differentials d_i pointing
-from degree i to degree i-1).  Homology, perfectness, the infinite
-projective dimension locus W, and the stabilization functor are computed on
-models.
+complex, a shift, or the mapping cone of a chain map.  Each node is its own
+free model (complex of finite free modules, quasi-isomorphic to it, living
+in homological degrees lo..infinity with differentials d_i pointing from
+degree i to degree i-1), computed lazily.  Homology, perfectness, the
+infinite projective dimension locus W, and the stabilization functor are
+computed on models.
 """
 
 from __future__ import annotations
 
 import threading
 
-from .errors import KindMismatchError, RingMismatchError, ValidationError
+from .errors import RingMismatchError, ValidationError
 from .groebner import express_in_span, module_syzygies, vec_is_zero
 from .modules import (
+    Matrix,
     ModulePres,
     Resolution,
     cosyzygy,
@@ -27,73 +28,16 @@ from .modules import (
     subquotient,
 )
 
-
-class FMat:
-    """Shape-carrying matrix over the base polynomial ring."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries):
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(tuple(r) for r in entries)
-        if len(self.entries) != rows or any(len(r) != cols for r in self.entries):
-            raise ValidationError("matrix shape mismatch")
-
-    @staticmethod
-    def zero(ring, rows, cols):
-        z = ring.zero()
-        return FMat(rows, cols, [[z] * cols for _ in range(rows)])
-
-    def column(self, j):
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
-    def neg(self):
-        return FMat(self.rows, self.cols, [[-e for e in r] for r in self.entries])
-
-    def is_zero(self):
-        return all(e.is_zero() for r in self.entries for e in r)
+_UNSET = object()
 
 
-def _mat_mul(ring_pres, a, b):
-    if a.cols != b.rows:
-        raise ValidationError("matrix product shape mismatch")
-    base = ring_pres.base
-    out = []
-    for i in range(a.rows):
-        row = []
-        for j in range(b.cols):
-            s = base.zero()
-            for k in range(a.cols):
-                s = s + a.entries[i][k] * b.entries[k][j]
-            row.append(ring_pres.nf(s))
-        out.append(row)
-    return FMat(a.rows, b.cols, out)
+class ComplexHandle:
+    """Immutable description of a bounded complex over R and its free model.
 
-
-def _nf_mat(ring_pres, m):
-    return FMat(m.rows, m.cols, [[ring_pres.nf(e) for e in r] for r in m.entries])
-
-
-def _parse_matrix(ring_pres, raw, rows=None, cols=None):
-    base = ring_pres.base
-    entries = [[base.parse(e) if isinstance(e, str) else e for e in r] for r in raw]
-    r = len(entries) if rows is None else rows
-    c = (len(entries[0]) if entries else 0) if cols is None else cols
-    if not entries and rows:
-        raise ValidationError("matrix rows missing")
-    return _nf_mat(ring_pres, FMat(r, c, entries))
-
-
-# ---------------------------------------------------------------------------
-# free models
-
-
-class FreeModel:
-    """Lazy free complex: rank(i) and diff(i) computed on demand, memoized."""
+    Each node kind is a subclass that sets the model's lowest degree `lo`
+    and supplies `bounds()`, `_rank(i)` and `_diff(i)`; this class memoizes
+    ranks, differentials and homology.
+    """
 
     def __init__(self, ring, lo):
         self.ring = ring
@@ -101,6 +45,34 @@ class FreeModel:
         self._lock = threading.RLock()
         self._ranks = {}
         self._diffs = {}
+        self._homology = {}
+        self._sup = _UNSET
+
+    # -- constructors ---------------------------------------------------------
+
+    @staticmethod
+    def delta(module):
+        return DeltaNode(module)
+
+    @staticmethod
+    def free(ring, lo, ranks, diffs):
+        """Explicit free complex on degrees lo..lo+len(ranks)-1; diffs maps
+        degree i to the matrix of d_i (shape ranks[i-1] x ranks[i])."""
+        return FreeNode(ring, lo, ranks, diffs)
+
+    @staticmethod
+    def shift(inner, k):
+        return ShiftNode(inner, k)
+
+    @staticmethod
+    def cone(cmap):
+        return ConeNode(cmap)
+
+    # -- the free model ---------------------------------------------------------
+
+    def bounds(self):
+        """(lo, hi): homology vanishes outside lo..hi a priori."""
+        raise NotImplementedError
 
     def rank(self, i):
         if i < self.lo:
@@ -114,7 +86,7 @@ class FreeModel:
         """d_i : F_i -> F_{i-1}; zero matrix outside the support."""
         r_lo, r_hi = self.rank(i - 1), self.rank(i)
         if i <= self.lo or r_lo == 0 or r_hi == 0:
-            return FMat.zero(self.ring.base, r_lo, r_hi)
+            return Matrix.zero(self.ring, r_lo, r_hi)
         with self._lock:
             if i not in self._diffs:
                 self._diffs[i] = self._diff(i)
@@ -126,169 +98,7 @@ class FreeModel:
     def _diff(self, i):
         raise NotImplementedError
 
-
-class ResolutionModel(FreeModel):
-    def __init__(self, module):
-        super().__init__(module.ring, 0)
-        self.resolution = Resolution(module)
-
-    def _rank(self, i):
-        self.resolution.extend(max(i, 1))
-        return self.resolution.betti[i]
-
-    def _diff(self, i):
-        d = self.resolution.differential(i)
-        return FMat(d.rows, d.cols, d.matrix)
-
-
-class ExplicitModel(FreeModel):
-    def __init__(self, ring, lo, ranks, diffs):
-        super().__init__(ring, lo)
-        self.hi = lo + len(ranks) - 1
-        self._given_ranks = {lo + k: r for k, r in enumerate(ranks)}
-        self._given = diffs
-
-    def _rank(self, i):
-        return self._given_ranks.get(i, 0)
-
-    def _diff(self, i):
-        if i in self._given:
-            return self._given[i]
-        return FMat.zero(self.ring.base, self.rank(i - 1), self.rank(i))
-
-
-class ShiftModel(FreeModel):
-    def __init__(self, inner, k):
-        super().__init__(inner.ring, inner.lo + k)
-        self.inner = inner
-        self.k = k
-
-    def _rank(self, i):
-        return self.inner.rank(i - self.k)
-
-    def _diff(self, i):
-        d = self.inner.diff(i - self.k)
-        return d.neg() if self.k % 2 else d
-
-
-class ConeModel(FreeModel):
-    """Cone of a lifted chain map phi: X -> Y, C_i = X_{i-1} (+) Y_i."""
-
-    def __init__(self, cmap):
-        self.cmap = cmap
-        self.x = cmap.source.model()
-        self.y = cmap.target.model()
-        super().__init__(cmap.ring, min(self.x.lo + 1, self.y.lo))
-
-    def _rank(self, i):
-        return self.x.rank(i - 1) + self.y.rank(i)
-
-    def _diff(self, i):
-        base = self.ring.base
-        dx = self.x.diff(i - 1)
-        dy = self.y.diff(i)
-        phi = self.cmap.component(i - 1)
-        rows = self.x.rank(i - 2) + self.y.rank(i - 1)
-        cols = self.x.rank(i - 1) + self.y.rank(i)
-        out = [[base.zero()] * cols for _ in range(rows)]
-        for a in range(dx.rows):
-            for b in range(dx.cols):
-                out[a][b] = -dx.entries[a][b]
-        for a in range(phi.rows):
-            for b in range(phi.cols):
-                out[dx.rows + a][b] = phi.entries[a][b]
-        for a in range(dy.rows):
-            for b in range(dy.cols):
-                out[dx.rows + a][dx.cols + b] = dy.entries[a][b]
-        return FMat(rows, cols, out)
-
-
-# ---------------------------------------------------------------------------
-# handles
-
-
-_UNSET = object()
-
-
-class ComplexHandle:
-    """Immutable description of a bounded complex over R."""
-
-    def __init__(self, ring, kind, **data):
-        self.ring = ring
-        self.kind = kind
-        self.data = data
-        self._lock = threading.Lock()
-        self._model = None
-        self._homology = {}
-        self._sup = _UNSET
-
-    # -- constructors ---------------------------------------------------------
-
-    @staticmethod
-    def delta(module):
-        return ComplexHandle(module.ring, "delta", module=module)
-
-    @staticmethod
-    def free(ring, lo, ranks, diffs):
-        """Explicit free complex on degrees lo..lo+len(ranks)-1; diffs maps
-        degree i to the matrix of d_i (shape ranks[i-1] x ranks[i])."""
-        mats = {}
-        rank_at = {lo + k: r for k, r in enumerate(ranks)}
-        for i, raw in diffs.items():
-            i = int(i)
-            m = raw if isinstance(raw, FMat) else _parse_matrix(
-                ring, raw, rows=rank_at.get(i - 1, 0), cols=rank_at.get(i, 0)
-            )
-            if m.rows != rank_at.get(i - 1, 0) or m.cols != rank_at.get(i, 0):
-                raise ValidationError(f"differential at degree {i} has wrong shape")
-            mats[i] = m
-        handle = ComplexHandle(ring, "free", lo=lo, ranks=tuple(ranks), diffs=mats)
-        # consecutive differentials must compose to zero modulo I
-        for i in mats:
-            if i + 1 in mats and not _mat_mul(ring, mats[i], mats[i + 1]).is_zero():
-                raise ValidationError(f"d_{i} d_{i+1} != 0")
-        return handle
-
-    @staticmethod
-    def shift(inner, k):
-        return ComplexHandle(inner.ring, "shift", inner=inner, by=k)
-
-    @staticmethod
-    def cone(cmap):
-        return ComplexHandle(cmap.ring, "cone", map=cmap)
-
-    # -- models and homology ----------------------------------------------
-
-    def model(self):
-        with self._lock:
-            if self._model is None:
-                if self.kind == "delta":
-                    self._model = ResolutionModel(self.data["module"])
-                elif self.kind == "free":
-                    self._model = ExplicitModel(
-                        self.ring, self.data["lo"], self.data["ranks"], self.data["diffs"]
-                    )
-                elif self.kind == "shift":
-                    self._model = ShiftModel(self.data["inner"].model(), self.data["by"])
-                elif self.kind == "cone":
-                    self._model = ConeModel(self.data["map"])
-                else:
-                    raise KindMismatchError(f"unknown complex kind {self.kind!r}")
-            return self._model
-
-    def bounds(self):
-        """(lo, hi): homology vanishes outside lo..hi a priori."""
-        if self.kind == "delta":
-            return 0, 0
-        if self.kind == "free":
-            lo = self.data["lo"]
-            return lo, lo + len(self.data["ranks"]) - 1
-        if self.kind == "shift":
-            lo, hi = self.data["inner"].bounds()
-            return lo + self.data["by"], hi + self.data["by"]
-        lo_s, hi_s = self.data["map"].source.bounds()
-        lo_t, hi_t = self.data["map"].target.bounds()
-        return min(lo_s + 1, lo_t), max(hi_s + 1, hi_t)
+    # -- homology -----------------------------------------------------------------
 
     def homology(self, i):
         with self._lock:
@@ -296,21 +106,18 @@ class ComplexHandle:
         if cached is not None:
             return cached
         ring = self.ring
-        model = self.model()
-        r = model.rank(i)
+        r = self.rank(i)
         if r == 0:
             result = ModulePres(ring, [])
         else:
-            d_i = model.diff(i)
-            if model.rank(i - 1) == 0:
-                kernel = [_unit_vector(ring, r, j) for j in range(r)]
+            if self.rank(i - 1) == 0:
+                kernel = Matrix.identity(ring, r).columns()
             else:
                 kernel = module_syzygies(
-                    d_i.columns(), ring.defining, ring.base, rank=model.rank(i - 1)
+                    self.diff(i).columns(), ring.defining, ring.base, rank=self.rank(i - 1)
                 )
                 kernel = [v for v in kernel if not vec_is_zero(v)]
-            image = model.diff(i + 1).columns()
-            result = subquotient(kernel, image, ring)
+            result = subquotient(kernel, self.diff(i + 1).columns(), ring)
         with self._lock:
             self._homology[i] = result
         return result
@@ -331,20 +138,108 @@ class ComplexHandle:
         return found
 
 
-def _unit_vector(ring, rank, j):
-    v = [ring.base.zero()] * rank
-    v[j] = ring.base.one()
-    return tuple(v)
+class DeltaNode(ComplexHandle):
+    """A module in degree 0, modelled by its minimal free resolution."""
+
+    def __init__(self, module):
+        super().__init__(module.ring, 0)
+        self.module = module
+        self._resolution = None
+
+    def bounds(self):
+        return 0, 0
+
+    def _extended(self, steps):
+        if self._resolution is None:
+            self._resolution = Resolution(self.module)
+        return self._resolution.extend(steps)
+
+    def _rank(self, i):
+        return self._extended(max(i, 1)).betti[i]
+
+    def _diff(self, i):
+        return self._extended(i).differentials[i - 1].matrix
+
+
+class FreeNode(ComplexHandle):
+    """An explicit bounded free complex, which is its own model."""
+
+    def __init__(self, ring, lo, ranks, diffs):
+        super().__init__(ring, lo)
+        self.ranks = tuple(ranks)
+        self.diffs = {}
+        for i, raw in diffs.items():
+            i = int(i)
+            m = raw if isinstance(raw, Matrix) else Matrix.parse(ring, raw, cols=self._rank(i))
+            if m.rows != self._rank(i - 1) or m.cols != self._rank(i):
+                raise ValidationError(f"differential at degree {i} has wrong shape")
+            self.diffs[i] = m
+        # consecutive differentials must compose to zero modulo I
+        for i, d in self.diffs.items():
+            if i + 1 in self.diffs and not (d @ self.diffs[i + 1]).is_zero():
+                raise ValidationError(f"d_{i} d_{i+1} != 0")
+
+    def bounds(self):
+        return self.lo, self.lo + len(self.ranks) - 1
+
+    def _rank(self, i):
+        k = i - self.lo
+        return self.ranks[k] if 0 <= k < len(self.ranks) else 0
+
+    def _diff(self, i):
+        if i in self.diffs:
+            return self.diffs[i]
+        return Matrix.zero(self.ring, self.rank(i - 1), self.rank(i))
+
+
+class ShiftNode(ComplexHandle):
+    """inner[k]: degree i holds inner degree i - k; odd shifts negate d."""
+
+    def __init__(self, inner, k):
+        super().__init__(inner.ring, inner.lo + k)
+        self.inner = inner
+        self.k = k
+
+    def bounds(self):
+        lo, hi = self.inner.bounds()
+        return lo + self.k, hi + self.k
+
+    def _rank(self, i):
+        return self.inner.rank(i - self.k)
+
+    def _diff(self, i):
+        d = self.inner.diff(i - self.k)
+        return -d if self.k % 2 else d
+
+
+class ConeNode(ComplexHandle):
+    """Cone of a lifted chain map phi: X -> Y, C_i = X_{i-1} (+) Y_i, with
+    d_i = [[-dX_{i-1}, 0], [phi_{i-1}, dY_i]]."""
+
+    def __init__(self, cmap):
+        super().__init__(cmap.ring, min(cmap.source.lo + 1, cmap.target.lo))
+        self.map = cmap
+
+    def bounds(self):
+        lo_s, hi_s = self.map.source.bounds()
+        lo_t, hi_t = self.map.target.bounds()
+        return min(lo_s + 1, lo_t), max(hi_s + 1, hi_t)
+
+    def _rank(self, i):
+        return self.map.source.rank(i - 1) + self.map.target.rank(i)
+
+    def _diff(self, i):
+        x, y = self.map.source, self.map.target
+        return Matrix.block([[-x.diff(i - 1), None], [self.map.component(i - 1), y.diff(i)]])
 
 
 def free_model(handle, down_to):
     """Materialize the model over cohomological degrees >= down_to, i.e.
     homological degrees up to -down_to; returns (ranks, diffs) dicts."""
-    model = handle.model()
     top = max(-down_to, handle.bounds()[1])
-    lo = model.lo
-    ranks = {i: model.rank(i) for i in range(lo, top + 1)}
-    diffs = {i: model.diff(i) for i in range(lo + 1, top + 1)}
+    lo = handle.lo
+    ranks = {i: handle.rank(i) for i in range(lo, top + 1)}
+    diffs = {i: handle.diff(i) for i in range(lo + 1, top + 1)}
     return ranks, diffs
 
 
@@ -367,42 +262,36 @@ class ComplexMap:
         self.ring = source.ring
         self._lock = threading.Lock()
         self._components = {}
-        sm, tm = source.model(), target.model()
         for i, raw in components.items():
             i = int(i)
-            m = raw if isinstance(raw, FMat) else _parse_matrix(
-                self.ring, raw, rows=tm.rank(i), cols=sm.rank(i)
-            )
-            if m.rows != tm.rank(i) or m.cols != sm.rank(i):
+            m = raw if isinstance(raw, Matrix) else Matrix.parse(self.ring, raw, cols=source.rank(i))
+            if m.rows != target.rank(i) or m.cols != source.rank(i):
                 raise ValidationError(f"chain map component at degree {i} has wrong shape")
             self._components[i] = m
         self._given_top = max(self._components) if self._components else None
         self._check_squares()
 
     def _check_squares(self):
-        sm, tm = self.source.model(), self.target.model()
-        for i in self._components:
-            if i - 1 not in self._components:
-                if tm.rank(i - 1) != 0 and sm.rank(i - 1) != 0:
-                    continue
-                below = FMat.zero(self.ring.base, tm.rank(i - 1), sm.rank(i - 1))
-            else:
+        src, tgt = self.source, self.target
+        for i, f in self._components.items():
+            if i - 1 in self._components:
                 below = self._components[i - 1]
-            left = _mat_mul(self.ring, tm.diff(i), self._components[i])
-            right = _mat_mul(self.ring, below, sm.diff(i))
-            if not _mat_sub_is_zero(self.ring, left, right):
+            elif tgt.rank(i - 1) != 0 and src.rank(i - 1) != 0:
+                continue
+            else:
+                below = Matrix.zero(self.ring, tgt.rank(i - 1), src.rank(i - 1))
+            if tgt.diff(i) @ f != below @ src.diff(i):
                 raise ValidationError(f"chain map square at degree {i} does not commute")
 
     def component(self, i):
-        sm, tm = self.source.model(), self.target.model()
-        rows, cols = tm.rank(i), sm.rank(i)
+        rows, cols = self.target.rank(i), self.source.rank(i)
         if rows == 0 or cols == 0:
-            return FMat.zero(self.ring.base, rows, cols)
+            return Matrix.zero(self.ring, rows, cols)
         with self._lock:
             if i in self._components:
                 return self._components[i]
         if self._given_top is None or i < min(self._components):
-            return FMat.zero(self.ring.base, rows, cols)
+            return Matrix.zero(self.ring, rows, cols)
         prev = self.component(i - 1)
         lifted = self._lift(i, prev)
         with self._lock:
@@ -412,35 +301,20 @@ class ComplexMap:
     def _lift(self, i, prev):
         """Solve d^Y_i f_i = f_{i-1} d^X_i column by column; the target model
         is exact in degree i-1 > sup, so the lift exists."""
-        sm, tm = self.source.model(), self.target.model()
         ring = self.ring
-        target_cols = tm.diff(i).columns()
-        need = _mat_mul(ring, prev, sm.diff(i))
+        rows = self.target.rank(i)
+        target_cols = self.target.diff(i).columns()
+        zero = (ring.base.zero(),) * rows
         out_cols = []
-        for j in range(need.cols):
-            col = need.column(j)
+        for col in (prev @ self.source.diff(i)).columns():
             if vec_is_zero(col):
-                out_cols.append(_zero_vec(ring, tm.rank(i)))
+                out_cols.append(zero)
                 continue
             cof = express_in_span(col, target_cols, ring.defining, ring.base)
             if cof is None:
                 raise ValidationError(f"chain map cannot be lifted to degree {i}")
-            out_cols.append(tuple(ring.nf(c) for c in cof))
-        return FMat(tm.rank(i), sm.rank(i), [[c[r] for c in out_cols] for r in range(tm.rank(i))])
-
-
-def _zero_vec(ring, n):
-    return tuple(ring.base.zero() for _ in range(n))
-
-
-def _mat_sub_is_zero(ring, a, b):
-    if a.rows != b.rows or a.cols != b.cols:
-        return False
-    for i in range(a.rows):
-        for j in range(a.cols):
-            if not ring.nf(a.entries[i][j] - b.entries[i][j]).is_zero():
-                return False
-    return True
+            out_cols.append(cof)
+        return Matrix.from_columns(ring, out_cols, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +334,8 @@ def stabilization_syzygy(handle):
     if s is None:
         return None, ModulePres(ring, [])
     n = max(s + ring.dim, s + 1)
-    model = handle.model()
-    cols = model.diff(n).columns()
-    rank_below = model.rank(n - 1)
-    if rank_below == 0 or not cols:
+    cols = handle.diff(n).columns()
+    if handle.rank(n - 1) == 0 or not cols:
         return n, ModulePres(ring, [])
     return n, subquotient(cols, [], ring)
 

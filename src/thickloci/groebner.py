@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import threading
 
-from .arith import Poly
 from .errors import ResourceBudgetError, RingMismatchError, ValidationError
 
 DEFAULT_SPAIR_BUDGET = 100_000
@@ -31,16 +30,8 @@ def vec_is_zero(u):
     return all(p.is_zero() for p in u)
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_neg(u):
-    return tuple(-a for a in u)
 
 
 def vec_scale(u, f):
@@ -376,9 +367,6 @@ class Ideal:
     def is_unit(self):
         gb = self.groebner_basis()
         return len(gb) == 1 and gb[0].degree() == 0
-
-    def is_proper(self):
-        return not self.is_unit()
 
     def is_homogeneous(self):
         return all(g.is_homogeneous() for g in self.gens)

@@ -22,68 +22,160 @@ from .groebner import (
 from .spectra import SpecSubset, _minors
 
 
+class Matrix:
+    """Immutable matrix over R = S/I with an explicit shape.
+
+    Entries are normal forms modulo I.  Input from outside is reduced once,
+    by `parse`; a product reduces its sums; every other operation only
+    moves, negates or copies entries, so they stay reduced.  The plain
+    constructor trusts its entries to be reduced already.
+    """
+
+    __slots__ = ("ring", "rows", "cols", "entries")
+
+    def __init__(self, ring, entries, cols=None):
+        self.ring = ring
+        self.entries = tuple(tuple(row) for row in entries)
+        self.rows = len(self.entries)
+        self.cols = (len(self.entries[0]) if self.entries else 0) if cols is None else cols
+        if any(len(row) != self.cols for row in self.entries):
+            raise ValidationError("matrix shape mismatch")
+
+    @staticmethod
+    def parse(ring, raw, cols=None):
+        """Rows of Polys or strings over R's polynomial ring, reduced mod I;
+        `cols` fixes the width of a matrix without rows."""
+        base = ring.base
+        entries = []
+        for raw_row in raw:
+            row = []
+            for entry in raw_row:
+                if isinstance(entry, str):
+                    entry = base.parse(entry)
+                if entry.ring != base:
+                    raise RingMismatchError("matrix entry over a different ring")
+                row.append(ring.nf(entry))
+            entries.append(row)
+        return Matrix(ring, entries, cols)
+
+    @staticmethod
+    def zero(ring, rows, cols):
+        z = ring.base.zero()
+        return Matrix(ring, [(z,) * cols] * rows, cols)
+
+    @staticmethod
+    def identity(ring, n):
+        zero, one = ring.base.zero(), ring.base.one()
+        return Matrix(ring, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
+
+    @staticmethod
+    def from_columns(ring, columns, rows):
+        return Matrix(ring, columns, rows).transpose()
+
+    @staticmethod
+    def block(grid):
+        """Block matrix from rows of blocks over one ring; None is a zero
+        block, sized by the other blocks of its block row and column."""
+        ring = next(m.ring for line in grid for m in line if m is not None)
+        heights = [next(m.rows for m in line if m is not None) for line in grid]
+        widths = [next(line[j].cols for line in grid if line[j] is not None) for j in range(len(grid[0]))]
+        zero = ring.base.zero()
+        entries = []
+        for line, height in zip(grid, heights):
+            parts = []
+            for m, width in zip(line, widths):
+                if m is None:
+                    parts.append([(zero,) * width] * height)
+                elif (m.rows, m.cols) != (height, width):
+                    raise ValidationError("matrix blocks do not fit")
+                else:
+                    parts.append(m.entries)
+            entries.extend(sum(pieces, ()) for pieces in zip(*parts))
+        return Matrix(ring, entries, sum(widths))
+
+    def column(self, j):
+        return tuple(row[j] for row in self.entries)
+
+    def columns(self):
+        return [self.column(j) for j in range(self.cols)]
+
+    def transpose(self):
+        return Matrix(self.ring, self.columns(), self.rows)
+
+    def is_zero(self):
+        return all(e.is_zero() for row in self.entries for e in row)
+
+    def __neg__(self):
+        return Matrix(self.ring, [[-e for e in row] for row in self.entries], self.cols)
+
+    def __matmul__(self, other):
+        if self.cols != other.rows:
+            raise ValidationError("matrix product shape mismatch")
+        ring = self.ring
+        zero = ring.base.zero()
+        other_cols = other.columns()
+        out = []
+        for row in self.entries:
+            line = []
+            for col in other_cols:
+                s = zero
+                for a, b in zip(row, col):
+                    if a and b:
+                        s = s + a * b
+                line.append(ring.nf(s) if s else s)
+            out.append(line)
+        return Matrix(ring, out, other.cols)
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __getitem__(self, i):
+        return self.entries[i]
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Matrix)
+            and (self.ring is other.ring or self.ring == other.ring)
+            and (self.rows, self.cols) == (other.rows, other.cols)
+            and self.entries == other.entries
+        )
+
+    def __repr__(self):
+        return f"Matrix({self.rows}x{self.cols} over {self.ring!r})"
+
+
 class ModulePres:
     """Cokernel presentation of a finitely generated R-module."""
 
     def __init__(self, ring, matrix):
+        if not isinstance(matrix, Matrix):
+            matrix = Matrix.parse(ring, matrix)
+        elif matrix.ring is not ring and matrix.ring != ring:
+            raise RingMismatchError("presentation matrix over a different ring")
         self.ring = ring
-        rows = []
-        width = None
-        for raw in matrix:
-            row = []
-            for entry in raw:
-                if isinstance(entry, str):
-                    entry = ring.base.parse(entry)
-                if entry.ring != ring.base:
-                    raise RingMismatchError("matrix entry over a different ring")
-                row.append(ring.nf(entry))
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValidationError("ragged presentation matrix")
-            rows.append(tuple(row))
-        self.matrix = tuple(rows)
-        self.rows = len(rows)
-        self.cols = width or 0
+        self.matrix = matrix
+        self.rows = matrix.rows
+        self.cols = matrix.cols
 
     @property
     def minimal(self):
         return all(e.constant_term() == self.ring.base.field.zero for row in self.matrix for e in row)
 
-    def column(self, j):
-        return tuple(self.matrix[i][j] for i in range(self.rows))
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
-    def row_vectors(self):
-        return [self.matrix[i] for i in range(self.rows)]
-
     def __repr__(self):
         return f"ModulePres({self.rows}x{self.cols} over {self.ring!r})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ModulePres)
-            and self.ring == other.ring
-            and self.matrix == other.matrix
-        )
+        return isinstance(other, ModulePres) and self.matrix == other.matrix
 
 
 def free_module(ring, rank):
-    return ModulePres(ring, [()] * rank)
+    return ModulePres(ring, Matrix.zero(ring, rank, 0))
 
 
 def quotient_module(ring, gens):
     """R/(gens) presented by a single row."""
-    row = []
-    for g in gens:
-        if isinstance(g, str):
-            g = ring.base.parse(g)
-        g = ring.nf(g)
-        if not g.is_zero():
-            row.append(g)
-    return ModulePres(ring, [tuple(row)])
+    row = Matrix.parse(ring, [gens]).entries[0]
+    return ModulePres(ring, Matrix(ring, [[g for g in row if not g.is_zero()]]))
 
 
 def residue_field(ring):
@@ -97,19 +189,7 @@ def quotient_by_prime(ring, prime):
 def direct_sum(a, b):
     if a.ring != b.ring:
         raise RingMismatchError("summands over different rings")
-    zero = a.ring.base.zero()
-    rows = []
-    for i in range(a.rows):
-        rows.append(tuple(a.matrix[i]) + (zero,) * b.cols)
-    for i in range(b.rows):
-        rows.append((zero,) * a.cols + tuple(b.matrix[i]))
-    return ModulePres(a.ring, rows)
-
-
-def matrix_from_columns(cols, rows):
-    if not cols:
-        return [()] * rows
-    return [tuple(c[i] for c in cols) for i in range(rows)]
+    return ModulePres(a.ring, Matrix.block([[a.matrix, None], [None, b.matrix]]))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +258,7 @@ def minimalize(module):
     if mat:
         keep = [j for j in range(len(mat[0])) if any(not mat[i][j].is_zero() for i in range(len(mat)))]
         mat = [[row[j] for j in keep] for row in mat]
-    return ModulePres(ring, mat)
+    return ModulePres(ring, Matrix(ring, mat))
 
 
 def is_zero_module(module):
@@ -189,7 +269,7 @@ def strip_free(module):
     """Delete zero rows of the minimal presentation (the free summands)."""
     m = minimalize(module)
     rows = [row for row in m.matrix if any(not e.is_zero() for e in row)]
-    return ModulePres(m.ring, rows)
+    return ModulePres(m.ring, Matrix(m.ring, rows))
 
 
 def is_free(module):
@@ -234,8 +314,8 @@ class Resolution:
         self.ring = module.ring
         self._lock = threading.Lock()
         start = minimalize(module)
-        cols = minimal_generators(start.columns(), self.ring) if start.cols else []
-        d1 = ModulePres(self.ring, matrix_from_columns(cols, start.rows))
+        cols = minimal_generators(start.matrix.columns(), self.ring) if start.cols else []
+        d1 = ModulePres(self.ring, Matrix.from_columns(self.ring, cols, start.rows))
         self.start = start
         self.differentials = [d1]
         self.betti = [start.rows, d1.cols]
@@ -246,10 +326,10 @@ class Resolution:
             while len(self.differentials) < steps:
                 last = self.differentials[-1]
                 if last.cols == 0:
-                    nxt = ModulePres(self.ring, [()] * 0)
+                    nxt = ModulePres(self.ring, [])
                 else:
-                    syz = syzygy_generators(last.columns(), self.ring)
-                    nxt = ModulePres(self.ring, matrix_from_columns(syz, last.cols))
+                    syz = syzygy_generators(last.matrix.columns(), self.ring)
+                    nxt = ModulePres(self.ring, Matrix.from_columns(self.ring, syz, last.cols))
                 self.differentials.append(nxt)
                 self.betti.append(nxt.cols)
         return self
@@ -264,22 +344,13 @@ class Resolution:
         return self.differentials[i - 1]
 
 
-def resolution(module, steps):
-    return Resolution(module).extend(steps)
-
-
 def syzygy(module, n):
     """The n-th syzygy, presented minimally; syzygies of free modules are 0."""
     if n < 0:
         raise ValidationError("syzygy index must be nonnegative")
     if n == 0:
         return minimalize(module)
-    res = Resolution(module).extend(n + 1)
-    rank = res.betti[n]
-    if rank == 0:
-        return ModulePres(module.ring, [])
-    d_next = res.differentials[n]
-    return ModulePres(module.ring, d_next.matrix)
+    return Resolution(module).extend(n + 1).differentials[n]
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +373,13 @@ def over_ambient(module):
     """The same module presented over S (defining relations adjoined)."""
     ring = module.ring
     amb = _ambient(ring)
-    cols = module.columns()
-    for i in range(module.rows):
-        for q in ring.defining.gens:
-            col = [ring.base.zero()] * module.rows
-            col[i] = q
-            cols.append(tuple(col))
-    return ModulePres(amb, matrix_from_columns(cols, module.rows))
+    zero = ring.base.zero()
+    padding = [
+        tuple(q if k == i else zero for k in range(module.rows))
+        for i in range(module.rows)
+        for q in ring.defining.gens
+    ]
+    return ModulePres(amb, Matrix.from_columns(amb, module.matrix.columns() + padding, module.rows))
 
 
 def pd_over_ambient(module):
@@ -328,9 +399,7 @@ def depth_and_dim(module):
     if pd is None:
         return None, -1
     depth = module.ring.base.nvars - pd
-    fitt0 = fitting_chain(module).ideals[0]
-    dim = fitt0.dimension()
-    return depth, dim
+    return depth, fitting_chain(module)[0].dimension()
 
 
 def is_mcm(module):
@@ -363,25 +432,22 @@ def pd_finite(module):
 # Fitting ideals and loci
 
 
-class FittChain:
-    """Ascending chain Fitt_0 <= ... <= Fitt_rows = R of a module."""
-
-    def __init__(self, module, ideals):
-        self.module = module
-        self.ideals = ideals
+def _fitting_minors(m):
+    """Per j, the minors of size rows - j of a minimal presentation m: the
+    generators of Fitt_j beyond the defining relations."""
+    base = m.ring.base
+    return [
+        _minors(m.matrix.entries, m.rows - j, base) if j < m.rows else [base.one()]
+        for j in range(m.rows + 1)
+    ]
 
 
 def fitting_chain(module):
+    """Ascending chain [Fitt_0, ..., Fitt_rows = R] of the module's ideals."""
     m = minimalize(module)
     base = module.ring.base
-    rel = module.ring.defining
-    ideals = []
-    mat = [list(row) for row in m.matrix]
-    for j in range(m.rows + 1):
-        size = m.rows - j
-        minors = _minors(mat, size, base) if size > 0 else [base.one()]
-        ideals.append(Ideal(base, list(rel.gens) + minors))
-    return FittChain(m, ideals)
+    rel = list(module.ring.defining.gens)
+    return [Ideal(base, rel + minors) for minors in _fitting_minors(m)]
 
 
 def _localizes_to_zero(gens, prime, ring):
@@ -405,16 +471,9 @@ def nonfree_locus(module):
     m = minimalize(module)
     if m.rows == 0:
         return SpecSubset(ring, [])
-    chain = fitting_chain(m)
-    base = ring.base
     # the interesting generators of Fitt_j are the minors (the defining
     # relations lie in every registry prime)
-    minor_gens = []
-    mat = [list(row) for row in chain.module.matrix]
-    for j in range(m.rows + 1):
-        size = m.rows - j
-        minors = _minors(mat, size, base) if size > 0 else [base.one()]
-        minor_gens.append([ring.nf(g) for g in minors])
+    minor_gens = [[ring.nf(g) for g in minors] for minors in _fitting_minors(m)]
     bad = []
     for p in ring.registry:
         free_here = False
@@ -448,11 +507,9 @@ def annihilator(module):
     if m.rows == 0:
         return Ideal(base, [base.one()])
     result = None
-    cols = m.columns()
-    for i in range(m.rows):
-        e_i = [base.zero()] * m.rows
-        e_i[i] = base.one()
-        syz = module_syzygies([tuple(e_i)] + cols, ring.defining, base, rank=m.rows)
+    cols = m.matrix.columns()
+    for e_i in Matrix.identity(ring, m.rows).columns():
+        syz = module_syzygies([e_i] + cols, ring.defining, base, rank=m.rows)
         gens = [v[0] for v in syz if not v[0].is_zero()]
         ideal_i = Ideal(base, gens + list(ring.defining.gens))
         result = ideal_i if result is None else result.intersection(ideal_i)
@@ -471,14 +528,13 @@ def dual(module):
         return ModulePres(ring, [])
     if m.cols == 0:
         return free_module(ring, m.rows)
-    gens = module_syzygies(m.row_vectors(), ring.defining, ring.base, rank=m.cols)
+    gens = module_syzygies(m.matrix.transpose().columns(), ring.defining, ring.base, rank=m.cols)
     gens = [tuple(ring.nf(p) for p in v) for v in gens]
     gens = [v for v in gens if not vec_is_zero(v)]
     if not gens:
         return ModulePres(ring, [])
     rel = module_syzygies(gens, ring.defining, ring.base, rank=m.rows)
-    pres = ModulePres(ring, matrix_from_columns(rel, len(gens)))
-    return minimalize(pres)
+    return minimalize(ModulePres(ring, Matrix.from_columns(ring, rel, len(gens))))
 
 
 def cosyzygy(module):
@@ -519,7 +575,7 @@ def subquotient(num, den, ring):
     if not num:
         return ModulePres(ring, [])
     rels = span_relations(num, den, ring)
-    return minimalize(ModulePres(ring, matrix_from_columns(rels, len(num))))
+    return minimalize(ModulePres(ring, Matrix.from_columns(ring, rels, len(num))))
 
 
 class ModuleMap:
@@ -531,83 +587,42 @@ class ModuleMap:
         self.source = source
         self.target = target
         self.ring = source.ring
-        rows = []
-        for raw in matrix:
-            row = []
-            for e in raw:
-                if isinstance(e, str):
-                    e = self.ring.base.parse(e)
-                row.append(self.ring.nf(e))
-            rows.append(tuple(row))
-        self.matrix = tuple(rows)
-        if len(rows) != target.rows or any(len(r) != source.rows for r in rows):
+        if not isinstance(matrix, Matrix):
+            matrix = Matrix.parse(self.ring, matrix, cols=source.rows)
+        if matrix.rows != target.rows or matrix.cols != source.rows:
             raise ValidationError("map matrix shape mismatch")
+        self.matrix = matrix
 
-    def apply_column(self, vec):
-        """Image in R^{target.rows} of a coefficient vector over the source."""
-        out = []
-        for i in range(self.target.rows):
-            s = self.ring.base.zero()
-            for j in range(self.source.rows):
-                s = s + self.matrix[i][j] * vec[j]
-            out.append(self.ring.nf(s))
-        return tuple(out)
+    def _lands_in_target(self, vectors):
+        targets = self.target.matrix.columns()
+        return all(vector_in_span(v, targets, self.ring.defining, self.ring.base) for v in vectors)
 
     def is_well_defined(self):
-        targets = self.target.columns()
-        for col in self.source.columns():
-            img = self.apply_column(col)
-            if not vector_in_span(img, targets, self.ring.defining, self.ring.base):
-                return False
-        return True
+        return self._lands_in_target((self.matrix @ self.source.matrix).columns())
 
     def kernel_preimage(self):
         """Generators of {v : F v in span(target relations)} in R^{source.rows}."""
-        fcols = [self.apply_column(self._unit(j)) for j in range(self.source.rows)]
-        combined = fcols + self.target.columns()
         if self.target.rows == 0:
             # everything maps to zero
-            return [self._unit(j) for j in range(self.source.rows)]
+            return Matrix.identity(self.ring, self.source.rows).columns()
+        combined = self.matrix.columns() + self.target.matrix.columns()
         syz = module_syzygies(combined, self.ring.defining, self.ring.base, rank=self.target.rows)
         pre = [v[: self.source.rows] for v in syz]
         pre = [tuple(self.ring.nf(p) for p in v) for v in pre]
         return [v for v in pre if not vec_is_zero(v)]
 
-    def _unit(self, j):
-        v = [self.ring.base.zero()] * self.source.rows
-        v[j] = self.ring.base.one()
-        return tuple(v)
-
     def kernel_module(self):
-        return subquotient(self.kernel_preimage(), self.source.columns(), self.ring)
+        return subquotient(self.kernel_preimage(), self.source.matrix.columns(), self.ring)
 
     def cokernel_module(self):
-        cols = [self.apply_column(self._unit(j)) for j in range(self.source.rows)]
-        cols += self.target.columns()
-        return minimalize(ModulePres(self.ring, matrix_from_columns(cols, self.target.rows)))
+        return minimalize(ModulePres(self.ring, Matrix.block([[self.matrix, self.target.matrix]])))
 
     def compose(self, other):
         """self after other (other: A->B, self: B->C)."""
-        if other.target.rows != self.source.rows:
-            raise ValidationError("maps are not composable")
-        rows = []
-        for i in range(self.target.rows):
-            row = []
-            for j in range(other.source.rows):
-                s = self.ring.base.zero()
-                for k in range(self.source.rows):
-                    s = s + self.matrix[i][k] * other.matrix[k][j]
-                row.append(self.ring.nf(s))
-            rows.append(tuple(row))
-        return ModuleMap(other.source, self.target, rows)
+        return ModuleMap(other.source, self.target, self.matrix @ other.matrix)
 
     def is_zero_map(self):
-        targets = self.target.columns()
-        for j in range(self.source.rows):
-            img = self.apply_column(self._unit(j))
-            if not vector_in_span(img, targets, self.ring.defining, self.ring.base):
-                return False
-        return True
+        return self._lands_in_target(self.matrix.columns())
 
 
 def sequence_is_exact(inj, surj):
@@ -622,8 +637,7 @@ def sequence_is_exact(inj, surj):
         return False
     # at B: ker(surj) / im(inj) vanishes
     ker = surj.kernel_preimage()
-    image_cols = [inj.apply_column(inj._unit(j)) for j in range(inj.source.rows)]
-    middle = subquotient(ker, image_cols + inj.target.columns(), ring)
+    middle = subquotient(ker, inj.matrix.columns() + inj.target.matrix.columns(), ring)
     if not is_zero_module(middle):
         return False
     # at C: surj is onto

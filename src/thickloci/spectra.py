@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .arith import PolyRing
 from .errors import RingMismatchError, ValidationError
 from .groebner import Ideal
 

@@ -138,3 +138,11 @@ def test_text_and_json_agree(capsys):
     assert code_t == code_j == 0
     assert "infinite" in text
     assert payload["pd"] == "infinite"
+
+
+def test_complex_file_module_needs_a_matrix(tmp_path, capsys):
+    complex_file = tmp_path / "cx.json"
+    complex_file.write_text(json.dumps({"ring": "catalog:NODE", "complex": {"kind": "delta", "module": "k"}}))
+    code, _, err = run(capsys, "complex", "locus", "--complex", str(complex_file))
+    assert code == 2
+    assert "given by its matrix" in err

@@ -23,6 +23,35 @@ def names(subset):
     return sorted(subset.member_names)
 
 
+NODE_KINDS = ("delta", "free", "odd shift", "even shift", "cone of shifts")
+
+
+def _node_of_kind(kind, cat):
+    k = ComplexHandle.delta(cat.sample("k"))
+    if kind == "delta":
+        return k
+    if kind == "free":
+        return ComplexHandle.free(cat.ring, -1, [1, 2, 1], {0: [["x", "y"]], 1: [["y"], ["-x"]]})
+    if kind == "odd shift":
+        return ComplexHandle.shift(k, 1)
+    if kind == "even shift":
+        return ComplexHandle.shift(k, -2)
+    shifted = ComplexHandle.shift(k, 1)
+    return ComplexHandle.cone(ComplexMap(shifted, shifted, {1: [["x"]]}))
+
+
+def _composes_to_zero(ring, a, b):
+    """a * b == 0 modulo I, multiplied out entry by entry."""
+    for r in range(a.rows):
+        for c in range(b.cols):
+            s = ring.base.zero()
+            for k in range(a.cols):
+                s = s + a.entries[r][k] * b.entries[k][c]
+            if not ring.nf(s).is_zero():
+                return False
+    return True
+
+
 class TestFreeModels:
     def test_delta_model_is_the_resolution(self, node):
         h = ComplexHandle.delta(node.sample("k"))
@@ -41,6 +70,40 @@ class TestFreeModels:
                     if not ring.nf(s).is_zero():
                         prod_zero = False
             assert prod_zero
+
+    @pytest.mark.parametrize("kind", NODE_KINDS)
+    def test_differentials_compose_to_zero(self, node, kind):
+        ring = node.ring
+        h = _node_of_kind(kind, node)
+        _, diffs = free_model(h, -4)
+        pairs = [(diffs[i], diffs[i + 1]) for i in sorted(diffs) if i + 1 in diffs]
+        assert any(a.rows and a.cols and b.cols for a, b in pairs)
+        for a, b in pairs:
+            assert _composes_to_zero(ring, a, b)
+
+    def test_odd_shift_negates_the_differential(self, node):
+        k = ComplexHandle.delta(node.sample("k"))
+        _, inner = free_model(k, -3)
+        for by in (1, 2, -1):
+            _, shifted = free_model(ComplexHandle.shift(k, by), -3 - by)
+            for i in range(1, 4):
+                expected = inner[i].entries
+                if by % 2:
+                    expected = tuple(tuple(-e for e in row) for row in expected)
+                assert shifted[i + by].entries == expected
+
+    def test_cone_differential_is_the_block_matrix(self, node):
+        # d_i = [[-dX_{i-1}, 0], [phi_{i-1}, dY_i]] on C_i = X_{i-1} (+) Y_i
+        x = ComplexHandle.shift(ComplexHandle.delta(node.sample("k")), 1)
+        cmap = ComplexMap(x, x, {1: [["x"]]})
+        _, dc = free_model(ComplexHandle.cone(cmap), -4)
+        _, dx = free_model(x, -4)
+        zero = node.ring.base.zero()
+        for i in (3, 4):
+            d_x, d_y, phi = dx[i - 1], dx[i], cmap.component(i - 1)
+            top = [tuple(-e for e in row) + (zero,) * d_y.cols for row in d_x.entries]
+            bottom = [a + b for a, b in zip(phi.entries, d_y.entries)]
+            assert dc[i].entries == tuple(top + bottom)
 
     def test_explicit_free_complex_is_its_own_model(self, node):
         ring = node.ring

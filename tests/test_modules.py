@@ -111,18 +111,18 @@ class TestFitting:
     def test_chain_examples(self, node):
         ring = node.ring
         ch = fitting_chain(node.sample("Rx"))
-        assert ch.ideals[0] == ring.defining + ringify(ring, ["x"])
-        assert ch.ideals[1].is_unit()
+        assert ch[0] == ring.defining + ringify(ring, ["x"])
+        assert ch[1].is_unit()
         ch_k = fitting_chain(node.sample("k"))
-        assert ch_k.ideals[0] == ringify(ring, ["x", "y"])
+        assert ch_k[0] == ringify(ring, ["x", "y"])
 
     def test_free_summand_shifts_chain(self, node):
         ring = node.ring
         m = ModulePres(ring, [["x"], ["0"]])
         ch = fitting_chain(m)
-        assert ch.ideals[0] == ring.defining  # no 2-minors: zero in R
-        assert ch.ideals[1] == ring.defining + ringify(ring, ["x"])
-        assert ch.ideals[2].is_unit()
+        assert ch[0] == ring.defining  # no 2-minors: zero in R
+        assert ch[1] == ring.defining + ringify(ring, ["x"])
+        assert ch[2].is_unit()
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10**6))
@@ -134,8 +134,8 @@ class TestFitting:
         name = rng.choice([n for n in cat.samples if n != "R"])
         m = cat.sample(name)
         padded = direct_sum(m, free_module(cat.ring, rng.choice([1, 2])))
-        a = [i.groebner_basis() for i in fitting_chain(m).ideals]
-        b = [i.groebner_basis() for i in fitting_chain(minimalize(padded)).ideals]
+        a = [i.groebner_basis() for i in fitting_chain(m)]
+        b = [i.groebner_basis() for i in fitting_chain(minimalize(padded))]
         # a rank-r free summand shifts the chain by r and pads below with
         # the zero ideal of R (= the defining ideal upstairs)
         shift = len(b) - len(a)
