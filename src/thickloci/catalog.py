@@ -57,7 +57,6 @@ class CatalogRing:
     omega: dict = dc_field(default_factory=dict)
     decompositions: dict = dc_field(default_factory=dict)
     notes: str = ""
-    _omega_certified: bool = None
 
     def sample(self, name):
         if name not in self.samples:
@@ -151,18 +150,13 @@ def _sum_of_labels(cat, labels):
 
 def certify_omega_table(cat):
     """Invariant-level check that the declared syzygy action on labels
-    matches engine-computed first syzygies; memoized per catalog entry."""
-    if cat._omega_certified is not None:
-        return cat._omega_certified
-    ok = True
+    matches engine-computed first syzygies."""
     for label in cat.labels:
         expected = _sum_of_labels(cat, cat.omega.get(label, []))
         computed = syzygy(cat.sample(label), 1)
         if _module_invariants(computed) != _module_invariants(expected):
-            ok = False
-            break
-    cat._omega_certified = ok
-    return ok
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

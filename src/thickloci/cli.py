@@ -40,12 +40,21 @@ def _parse_ref(ref):
     return "file", ref, None
 
 
+def _read_file(path, build):
+    """build(data) from a JSON file; a key the file lacks is a usage error."""
+    with open(path) as fh:
+        data = json.load(fh)
+    try:
+        return build(data)
+    except KeyError as exc:
+        raise UsageError(f"{path}: missing key {exc.args[0]!r}") from None
+
+
 def resolve_ring(ref):
     kind, name, sample = _parse_ref(ref)
     if kind == "catalog":
         return load(name).ring
-    with open(name) as fh:
-        return ring_from_json(json.load(fh))
+    return _read_file(name, ring_from_json)
 
 
 def resolve_module(ref, ring=None):
@@ -54,10 +63,9 @@ def resolve_module(ref, ring=None):
         if sample is None:
             raise UsageError(f"module ref {ref!r} needs a /sample suffix")
         return load(name).sample(sample)
-    with open(name) as fh:
-        data = json.load(fh)
-    ring = ring or _ring_from_field(data.get("ring"))
-    return ModulePres(ring, data["matrix"])
+    return _read_file(
+        name, lambda data: ModulePres(ring or _ring_from_field(data.get("ring")), data["matrix"])
+    )
 
 
 def _ring_from_field(entry):
@@ -98,10 +106,9 @@ def resolve_complex(ref):
         if sample is None:
             raise UsageError(f"complex ref {ref!r} needs a /sample suffix")
         return ComplexHandle.delta(load(name).sample(sample))
-    with open(name) as fh:
-        data = json.load(fh)
-    ring = _ring_from_field(data.get("ring"))
-    return complex_from_json(ring, data["complex"])
+    return _read_file(
+        name, lambda data: complex_from_json(_ring_from_field(data.get("ring")), data["complex"])
+    )
 
 
 def _matrix_out(module):
@@ -328,7 +335,7 @@ def main(argv=None):
     except ResourceBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, FileNotFoundError, KeyError, ThickLociError) as exc:
+    except (UsageError, FileNotFoundError, ThickLociError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(payload, args.format)

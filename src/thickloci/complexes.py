@@ -11,10 +11,8 @@ computed on models.
 
 from __future__ import annotations
 
-import threading
-
 from .errors import RingMismatchError, ValidationError
-from .groebner import express_in_span, module_syzygies, vec_is_zero
+from .groebner import express_in_span, vec_is_zero
 from .modules import (
     Matrix,
     ModulePres,
@@ -24,11 +22,10 @@ from .modules import (
     is_zero_module,
     minimalize,
     nonfree_locus,
+    span_relations,
     strip_free,
     subquotient,
 )
-
-_UNSET = object()
 
 
 class ComplexHandle:
@@ -42,11 +39,9 @@ class ComplexHandle:
     def __init__(self, ring, lo):
         self.ring = ring
         self.lo = lo
-        self._lock = threading.RLock()
         self._ranks = {}
         self._diffs = {}
         self._homology = {}
-        self._sup = _UNSET
 
     # -- constructors ---------------------------------------------------------
 
@@ -77,20 +72,18 @@ class ComplexHandle:
     def rank(self, i):
         if i < self.lo:
             return 0
-        with self._lock:
-            if i not in self._ranks:
-                self._ranks[i] = self._rank(i)
-            return self._ranks[i]
+        if i not in self._ranks:
+            self._ranks[i] = self._rank(i)
+        return self._ranks[i]
 
     def diff(self, i):
         """d_i : F_i -> F_{i-1}; zero matrix outside the support."""
         r_lo, r_hi = self.rank(i - 1), self.rank(i)
         if i <= self.lo or r_lo == 0 or r_hi == 0:
             return Matrix.zero(self.ring, r_lo, r_hi)
-        with self._lock:
-            if i not in self._diffs:
-                self._diffs[i] = self._diff(i)
-            return self._diffs[i]
+        if i not in self._diffs:
+            self._diffs[i] = self._diff(i)
+        return self._diffs[i]
 
     def _rank(self, i):
         raise NotImplementedError
@@ -101,41 +94,28 @@ class ComplexHandle:
     # -- homology -----------------------------------------------------------------
 
     def homology(self, i):
-        with self._lock:
-            cached = self._homology.get(i)
-        if cached is not None:
-            return cached
+        if i not in self._homology:
+            self._homology[i] = self._compute_homology(i)
+        return self._homology[i]
+
+    def _compute_homology(self, i):
         ring = self.ring
         r = self.rank(i)
         if r == 0:
-            result = ModulePres(ring, [])
+            return ModulePres(ring, [])
+        if self.rank(i - 1) == 0:
+            kernel = Matrix.identity(ring, r).columns()
         else:
-            if self.rank(i - 1) == 0:
-                kernel = Matrix.identity(ring, r).columns()
-            else:
-                kernel = module_syzygies(
-                    self.diff(i).columns(), ring.defining, ring.base, rank=self.rank(i - 1)
-                )
-                kernel = [v for v in kernel if not vec_is_zero(v)]
-            result = subquotient(kernel, self.diff(i + 1).columns(), ring)
-        with self._lock:
-            self._homology[i] = result
-        return result
+            kernel = span_relations(self.diff(i).columns(), [], ring)
+        return subquotient(kernel, self.diff(i + 1).columns(), ring)
 
     def sup(self):
         """Greatest i with H_i != 0; None for the zero object."""
-        with self._lock:
-            if self._sup is not _UNSET:
-                return self._sup
         lo, hi = self.bounds()
-        found = None
         for i in range(hi, lo - 1, -1):
             if not is_zero_module(self.homology(i)):
-                found = i
-                break
-        with self._lock:
-            self._sup = found
-        return found
+                return i
+        return None
 
 
 class DeltaNode(ComplexHandle):
@@ -260,7 +240,6 @@ class ComplexMap:
         self.source = source
         self.target = target
         self.ring = source.ring
-        self._lock = threading.Lock()
         self._components = {}
         for i, raw in components.items():
             i = int(i)
@@ -268,7 +247,6 @@ class ComplexMap:
             if m.rows != target.rank(i) or m.cols != source.rank(i):
                 raise ValidationError(f"chain map component at degree {i} has wrong shape")
             self._components[i] = m
-        self._given_top = max(self._components) if self._components else None
         self._check_squares()
 
     def _check_squares(self):
@@ -287,16 +265,12 @@ class ComplexMap:
         rows, cols = self.target.rank(i), self.source.rank(i)
         if rows == 0 or cols == 0:
             return Matrix.zero(self.ring, rows, cols)
-        with self._lock:
-            if i in self._components:
-                return self._components[i]
-        if self._given_top is None or i < min(self._components):
-            return Matrix.zero(self.ring, rows, cols)
-        prev = self.component(i - 1)
-        lifted = self._lift(i, prev)
-        with self._lock:
-            self._components.setdefault(i, lifted)
+        if i in self._components:
             return self._components[i]
+        if not self._components or i < min(self._components):
+            return Matrix.zero(self.ring, rows, cols)
+        self._components[i] = self._lift(i, self.component(i - 1))
+        return self._components[i]
 
     def _lift(self, i, prev):
         """Solve d^Y_i f_i = f_{i-1} d^X_i column by column; the target model

@@ -16,7 +16,7 @@ class RingMismatchError(ThickLociError):
 
 
 class ResourceBudgetError(ThickLociError):
-    """A configurable computation budget was exceeded."""
+    """The per-basis S-pair budget (`groebner.SPAIR_BUDGET`) was exceeded."""
 
 
 class ValidationError(ThickLociError):

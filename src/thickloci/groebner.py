@@ -11,11 +11,11 @@ property used by the syzygy embedding.
 from __future__ import annotations
 
 import itertools
-import threading
 
 from .errors import ResourceBudgetError, RingMismatchError, ValidationError
 
-DEFAULT_SPAIR_BUDGET = 100_000
+# S-pairs one basis may process before ResourceBudgetError; read at run time.
+SPAIR_BUDGET = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -74,13 +74,11 @@ class SubmoduleGB:
     the input generators, enabling cofactor extraction via `express`.
     """
 
-    def __init__(self, ring, rank, gens, budget=DEFAULT_SPAIR_BUDGET, track=False):
+    def __init__(self, ring, rank, gens, track=False):
         self.ring = ring
         self.rank = rank
-        self.budget = budget
         self.track = track
         self.gens = []
-        self._reps = []
         for i, g in enumerate(gens):
             if len(g) != rank:
                 raise RingMismatchError("generator rank mismatch")
@@ -90,7 +88,6 @@ class SubmoduleGB:
             self.gens.append(tuple(g))
         self._gb = None
         self._gb_reps = None
-        self._lock = threading.Lock()
 
     # -- reduction ----------------------------------------------------------
 
@@ -160,10 +157,8 @@ class SubmoduleGB:
             _, lcm, i, j = pairs.pop(0)
             done.add((i, j))
             processed += 1
-            if processed > self.budget:
-                raise ResourceBudgetError(
-                    f"S-pair budget of {self.budget} exceeded"
-                )
+            if processed > SPAIR_BUDGET:
+                raise ResourceBudgetError(f"S-pair budget of {SPAIR_BUDGET} exceeded")
             (gi, (pi, ei, ci)) = basis[i]
             (gj, (pj, ej, cj)) = basis[j]
             # product criterion (valid for the rank-1 / ideal case)
@@ -246,9 +241,8 @@ class SubmoduleGB:
 
     @property
     def gb(self):
-        with self._lock:
-            if self._gb is None:
-                self._gb, self._gb_reps = self._compute_gb()
+        if self._gb is None:
+            self._gb, self._gb_reps = self._compute_gb()
         return self._gb
 
     def gb_vectors(self):
@@ -270,32 +264,12 @@ class SubmoduleGB:
         """
         if not self.track:
             raise ValidationError("SubmoduleGB built without tracking")
-        gb = self.gb  # force reps
-        order = self.ring.order
-        ngens = len(self.gens)
-        quotients = list(vec_zero(self.ring, len(gb)))
-        work = tuple(vec)
-        remainder_seen = False
-        while not vec_is_zero(work):
-            pos, e, c = vec_leading(work, order)
-            hit = None
-            for k, (g, (gpos, ge, gc)) in enumerate(gb):
-                if gpos == pos and _divides(ge, e):
-                    hit = (k, _exp_sub(e, ge), self.ring.field.div(c, gc))
-                    break
-            if hit is None:
-                return None
-            k, q_exp, q_c = hit
-            quotients[k] = quotients[k] + self.ring.monomial(q_exp, q_c)
-            work = vec_sub(work, vec_mul_monomial(gb[k][0], q_exp, q_c))
-        result = list(vec_zero(self.ring, ngens))
-        for k, q in enumerate(quotients):
-            if q.is_zero():
-                continue
-            rep = self._gb_reps[k]
-            for j in range(ngens):
-                result[j] = result[j] + q * rep[j]
-        return tuple(result)
+        # the reduction subtracts q * rep_k for every q * gb_k it removes
+        zero_rep = vec_zero(self.ring, len(self.gens))
+        nf, rep = self._reduce_full(tuple(vec), self.gb, self._gb_reps, zero_rep)
+        if not vec_is_zero(nf):
+            return None
+        return tuple(-p for p in rep)
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +279,8 @@ class SubmoduleGB:
 class Ideal:
     """Finitely generated ideal of a polynomial ring with a cached GB."""
 
-    def __init__(self, ring, gens, budget=DEFAULT_SPAIR_BUDGET):
+    def __init__(self, ring, gens):
         self.ring = ring
-        self.budget = budget
         gs = []
         for g in gens:
             if isinstance(g, str):
@@ -318,14 +291,10 @@ class Ideal:
                 gs.append(g)
         self.gens = tuple(gs)
         self._engine = None
-        self._lock = threading.Lock()
 
     def _gb_engine(self):
-        with self._lock:
-            if self._engine is None:
-                self._engine = SubmoduleGB(
-                    self.ring, 1, [(g,) for g in self.gens], budget=self.budget
-                )
+        if self._engine is None:
+            self._engine = SubmoduleGB(self.ring, 1, [(g,) for g in self.gens])
         return self._engine
 
     def groebner_basis(self):
@@ -375,20 +344,16 @@ class Ideal:
 
     def __add__(self, other):
         self._check(other)
-        return Ideal(self.ring, self.gens + other.gens, self.budget)
+        return Ideal(self.ring, self.gens + other.gens)
 
     def product(self, other):
         self._check(other)
-        return Ideal(
-            self.ring,
-            [a * b for a in self.gens for b in other.gens],
-            self.budget,
-        )
+        return Ideal(self.ring, [a * b for a in self.gens for b in other.gens])
 
     def intersection(self, other):
         self._check(other)
         if not self.gens or not other.gens:
-            return Ideal(self.ring, [], self.budget)
+            return Ideal(self.ring, [])
         tname = "t_elim"
         while tname in self.ring.vars:
             tname += "_"
@@ -397,25 +362,21 @@ class Ideal:
         one = ext.one()
         gens = [t * a.lift_to(ext) for a in self.gens]
         gens += [(one - t) * b.lift_to(ext) for b in other.gens]
-        j = Ideal(ext, gens, self.budget)
+        j = Ideal(ext, gens)
         kept = []
         for g in j.groebner_basis():
             if all(e[0] == 0 for e in g.terms):
                 kept.append(g.project_to(self.ring))
-        return Ideal(self.ring, kept, self.budget)
+        return Ideal(self.ring, kept)
 
     def colon(self, f):
         """(self : f) = { g : g*f in self }."""
         if isinstance(f, str):
             f = self.ring.parse(f)
         if f.is_zero():
-            return Ideal(self.ring, [self.ring.one()], self.budget)
-        inter = self.intersection(Ideal(self.ring, [f], self.budget))
-        return Ideal(
-            self.ring,
-            [exact_divide(g, f) for g in inter.groebner_basis()],
-            self.budget,
-        )
+            return Ideal(self.ring, [self.ring.one()])
+        inter = self.intersection(Ideal(self.ring, [f]))
+        return Ideal(self.ring, [exact_divide(g, f) for g in inter.groebner_basis()])
 
     def dimension(self):
         """Krull dimension of S/I via leading-term combinatorics; -1 if unit."""
@@ -468,32 +429,32 @@ def _relation_padding(ring, rank, relations):
     return pads
 
 
-def quotient_submodule(ring, rank, gens, relations, budget=DEFAULT_SPAIR_BUDGET, track=False):
+def quotient_submodule(ring, rank, gens, relations, track=False):
     """GB of the submodule of (S/I)^rank generated by gens, computed in S.
 
     The defining ideal's generators are adjoined on every coordinate, so
     membership modulo the quotient is plain normal-form vanishing.
     """
     all_gens = [tuple(g) for g in gens] + _relation_padding(ring, rank, relations)
-    return SubmoduleGB(ring, rank, all_gens, budget=budget, track=track)
+    return SubmoduleGB(ring, rank, all_gens, track=track)
 
 
-def vector_in_span(vec, gens, relations, ring, budget=DEFAULT_SPAIR_BUDGET):
+def vector_in_span(vec, gens, relations, ring):
     if not gens:
         rank = len(vec)
-        sub = quotient_submodule(ring, rank, [], relations, budget)
+        sub = quotient_submodule(ring, rank, [], relations)
         return sub.contains(vec) if relations is not None and relations.gens else vec_is_zero(vec)
     rank = len(gens[0])
-    sub = quotient_submodule(ring, rank, gens, relations, budget)
+    sub = quotient_submodule(ring, rank, gens, relations)
     return sub.contains(vec)
 
 
-def express_in_span(vec, gens, relations, ring, budget=DEFAULT_SPAIR_BUDGET):
+def express_in_span(vec, gens, relations, ring):
     """Cofactors q with vec == sum(q_i * gens_i) modulo the relations, or None."""
     if not gens:
         return [] if vec_is_zero(vec) else None
     rank = len(gens[0])
-    sub = quotient_submodule(ring, rank, gens, relations, budget, track=True)
+    sub = quotient_submodule(ring, rank, gens, relations, track=True)
     expr = sub.express(tuple(vec))
     if expr is None:
         return None
@@ -503,7 +464,7 @@ def express_in_span(vec, gens, relations, ring, budget=DEFAULT_SPAIR_BUDGET):
     return cofactors
 
 
-def module_syzygies(gens, relations, ring, rank=None, budget=DEFAULT_SPAIR_BUDGET):
+def module_syzygies(gens, relations, ring, rank=None):
     """Generators of the syzygy module of `gens` over R = S/relations.
 
     gens are vectors in S^rank; returns vectors a in S^len(gens) with
@@ -535,7 +496,7 @@ def module_syzygies(gens, relations, ring, rank=None, budget=DEFAULT_SPAIR_BUDGE
         tuple(list(p) + list(vec_zero(ring, s)))
         for p in _relation_padding(ring, rank, relations)
     ]
-    sub = SubmoduleGB(ring, total, embedded, budget=budget)
+    sub = SubmoduleGB(ring, total, embedded)
     syz = []
     for g in sub.gb_vectors():
         if all(p.is_zero() for p in g[:rank]):

@@ -9,8 +9,6 @@ unit entries (exact in the graded-local model by Nakayama).
 
 from __future__ import annotations
 
-import threading
-
 from .errors import RingMismatchError, NotInvertibleError, ValidationError
 from .groebner import (
     Ideal,
@@ -286,8 +284,7 @@ def minimal_generators(vectors, ring):
     """Greedy reduction to a minimal generating set over R (graded Nakayama:
     a homogeneous generator is redundant iff it lies in the span of the
     others)."""
-    current = [tuple(ring.nf(p) for p in v) for v in vectors]
-    current = [v for v in current if not vec_is_zero(v)]
+    current = [v for v in vectors if not vec_is_zero(v)]
     i = 0
     while i < len(current):
         others = current[:i] + current[i + 1 :]
@@ -300,10 +297,7 @@ def minimal_generators(vectors, ring):
 
 def syzygy_generators(vectors, ring):
     """Minimal generating set of the syzygy module of `vectors` over R."""
-    syz = module_syzygies(vectors, ring.defining, ring.base, rank=len(vectors[0]) if vectors else 0)
-    syz = [tuple(ring.nf(p) for p in v) for v in syz]
-    syz = [v for v in syz if not vec_is_zero(v)]
-    return minimal_generators(syz, ring)
+    return minimal_generators(span_relations(vectors, [], ring), ring)
 
 
 class Resolution:
@@ -312,7 +306,6 @@ class Resolution:
     def __init__(self, module):
         self.module = module
         self.ring = module.ring
-        self._lock = threading.Lock()
         start = minimalize(module)
         cols = minimal_generators(start.matrix.columns(), self.ring) if start.cols else []
         d1 = ModulePres(self.ring, Matrix.from_columns(self.ring, cols, start.rows))
@@ -322,16 +315,15 @@ class Resolution:
 
     def extend(self, steps):
         """Ensure betti has length steps + 1 (differentials d_1 .. d_steps)."""
-        with self._lock:
-            while len(self.differentials) < steps:
-                last = self.differentials[-1]
-                if last.cols == 0:
-                    nxt = ModulePres(self.ring, [])
-                else:
-                    syz = syzygy_generators(last.matrix.columns(), self.ring)
-                    nxt = ModulePres(self.ring, Matrix.from_columns(self.ring, syz, last.cols))
-                self.differentials.append(nxt)
-                self.betti.append(nxt.cols)
+        while len(self.differentials) < steps:
+            last = self.differentials[-1]
+            if last.cols == 0:
+                nxt = ModulePres(self.ring, [])
+            else:
+                syz = syzygy_generators(last.matrix.columns(), self.ring)
+                nxt = ModulePres(self.ring, Matrix.from_columns(self.ring, syz, last.cols))
+            self.differentials.append(nxt)
+            self.betti.append(nxt.cols)
         return self
 
     def betti_numbers(self, steps):
@@ -357,22 +349,10 @@ def syzygy(module, n):
 # depth, dimension, projective dimension
 
 
-def _ambient(ring):
-    """R's ambient polynomial ring S wrapped as a (regular) RingPres."""
-    if getattr(ring, "_ambient_pres", None) is None:
-        from .spectra import PrimeId, RingFlags, RingPres
-
-        base = ring.base
-        m = PrimeId("m", Ideal(base, [base.var(v) for v in base.vars]))
-        flags = RingFlags(is_hypersurface=True, is_gorenstein=True, lci_punctured=True, is_regular=True)
-        ring._ambient_pres = RingPres(base, Ideal(base, []), [m], flags, name="ambient")
-    return ring._ambient_pres
-
-
 def over_ambient(module):
     """The same module presented over S (defining relations adjoined)."""
     ring = module.ring
-    amb = _ambient(ring)
+    amb = ring.ambient
     zero = ring.base.zero()
     padding = [
         tuple(q if k == i else zero for k in range(module.rows))
@@ -528,12 +508,10 @@ def dual(module):
         return ModulePres(ring, [])
     if m.cols == 0:
         return free_module(ring, m.rows)
-    gens = module_syzygies(m.matrix.transpose().columns(), ring.defining, ring.base, rank=m.cols)
-    gens = [tuple(ring.nf(p) for p in v) for v in gens]
-    gens = [v for v in gens if not vec_is_zero(v)]
+    gens = span_relations(m.matrix.transpose().columns(), [], ring)
     if not gens:
         return ModulePres(ring, [])
-    rel = module_syzygies(gens, ring.defining, ring.base, rank=m.rows)
+    rel = span_relations(gens, [], ring)
     return minimalize(ModulePres(ring, Matrix.from_columns(ring, rel, len(gens))))
 
 
@@ -564,13 +542,11 @@ def span_relations(num, den, ring):
     combined = list(num) + list(den)
     syz = module_syzygies(combined, ring.defining, ring.base, rank=rank)
     rels = [v[: len(num)] for v in syz]
-    rels = [tuple(ring.nf(p) for p in v) for v in rels]
     return [v for v in rels if not vec_is_zero(v)]
 
 
 def subquotient(num, den, ring):
     """span(num) / (span(num) ∩ span(den)) as an abstract ModulePres."""
-    num = [tuple(ring.nf(p) for p in v) for v in num]
     num = [v for v in num if not vec_is_zero(v)]
     if not num:
         return ModulePres(ring, [])
@@ -605,11 +581,7 @@ class ModuleMap:
         if self.target.rows == 0:
             # everything maps to zero
             return Matrix.identity(self.ring, self.source.rows).columns()
-        combined = self.matrix.columns() + self.target.matrix.columns()
-        syz = module_syzygies(combined, self.ring.defining, self.ring.base, rank=self.target.rows)
-        pre = [v[: self.source.rows] for v in syz]
-        pre = [tuple(self.ring.nf(p) for p in v) for v in pre]
-        return [v for v in pre if not vec_is_zero(v)]
+        return span_relations(self.matrix.columns(), self.target.matrix.columns(), self.ring)
 
     def kernel_module(self):
         return subquotient(self.kernel_preimage(), self.source.matrix.columns(), self.ring)

@@ -9,8 +9,8 @@ stored as canonical unions of V(p) over registry primes.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import RingMismatchError, ValidationError
 from .groebner import Ideal
@@ -69,9 +69,6 @@ class RingPres:
         self.flags = flags
         self.name = name
         self.dim = defining.dimension()
-        self._lock = threading.Lock()
-        self._jacobian = None
-        self._sing = None
 
     # -- lookups -------------------------------------------------------------
 
@@ -96,7 +93,24 @@ class RingPres:
         return self.defining.normal_form(f)
 
     def is_singular(self):
-        return self.maximal_prime() in singular_locus(self).members
+        return self.maximal_prime() in self.singular_locus.members
+
+    @cached_property
+    def singular_locus(self):
+        """Sing(R) over the registry, canonicalized; empty for regular rings."""
+        if self.flags.is_regular:
+            return SpecSubset(self, [])
+        jac = jacobian_ideal(self)
+        members = [p for p in self.registry if all(p.ideal.contains_poly(g) for g in jac.gens)]
+        return SpecSubset(self, members)
+
+    @cached_property
+    def ambient(self):
+        """The ambient polynomial ring S wrapped as a (regular) RingPres."""
+        base = self.base
+        m = PrimeId("m", Ideal(base, [base.var(v) for v in base.vars]))
+        flags = RingFlags(is_hypersurface=True, is_gorenstein=True, lci_punctured=True, is_regular=True)
+        return RingPres(base, Ideal(base, []), [m], flags, name="ambient")
 
     def __repr__(self):
         rel = ", ".join(str(g) for g in self.defining.gens) or "0"
@@ -205,32 +219,16 @@ def _det(m, ring):
 
 def jacobian_ideal(ring_pres):
     """I + (c x c minors of the Jacobian of the defining generators)."""
-    with ring_pres._lock:
-        if ring_pres._jacobian is None:
-            base = ring_pres.base
-            gens = ring_pres.defining.gens
-            codim = base.nvars - ring_pres.dim
-            jac = [[g.derivative(v) for v in base.vars] for g in gens]
-            minors = _minors(jac, codim, base)
-            ring_pres._jacobian = Ideal(base, list(gens) + minors)
-    return ring_pres._jacobian
+    base = ring_pres.base
+    gens = ring_pres.defining.gens
+    codim = base.nvars - ring_pres.dim
+    jac = [[g.derivative(v) for v in base.vars] for g in gens]
+    return Ideal(base, list(gens) + _minors(jac, codim, base))
 
 
 def singular_locus(ring_pres):
-    """Sing(R) over the registry, canonicalized; empty for regular rings."""
-    with ring_pres._lock:
-        cached = ring_pres._sing
-    if cached is not None:
-        return cached
-    if ring_pres.flags.is_regular:
-        result = SpecSubset(ring_pres, [])
-    else:
-        jac = jacobian_ideal(ring_pres)
-        members = [p for p in ring_pres.registry if all(p.ideal.contains_poly(g) for g in jac.gens)]
-        result = SpecSubset(ring_pres, members)
-    with ring_pres._lock:
-        ring_pres._sing = result
-    return result
+    """Sing(R) over the registry, computed once per ring."""
+    return ring_pres.singular_locus
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ RESOLUTION_STEPS = 6
 
 
 def ring_case(name):
-    return 2 if name == "QUAD2" else 1
+    """Case 1 (hypersurface) or case 2 (Gorenstein, lci on the punctured
+    spectrum) of the classification, read off the catalog ring."""
+    return 1 if load(name).ring.flags.is_hypersurface else 2
 
 
 def check_resolutions(cat):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from thickloci import cli, groebner
 from thickloci.cli import main
 
 
@@ -146,3 +147,27 @@ def test_complex_file_module_needs_a_matrix(tmp_path, capsys):
     code, _, err = run(capsys, "complex", "locus", "--complex", str(complex_file))
     assert code == 2
     assert "given by its matrix" in err
+
+
+def test_module_file_without_matrix_names_the_file_and_key(tmp_path, capsys):
+    module_file = tmp_path / "mod.json"
+    module_file.write_text(json.dumps({"ring": "catalog:NODE"}))
+    code, _, err = run(capsys, "module", "pd", "--module", str(module_file))
+    assert code == 2
+    assert str(module_file) in err and "'matrix'" in err
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch):
+    def broken(module):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "pd_finite", broken)
+    with pytest.raises(KeyError):
+        main(["module", "pd", "--module", "catalog:NODE/k"])
+
+
+def test_spair_budget_exhaustion_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(groebner, "SPAIR_BUDGET", 1)
+    code, _, err = run(capsys, "module", "resolve", "--module", "catalog:NODE/k")
+    assert code == 3
+    assert "S-pair budget" in err
