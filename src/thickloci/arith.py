@@ -60,9 +60,6 @@ class Field:
     def add(self, a, b):
         return (a + b) % self.char if self.char else a + b
 
-    def sub(self, a, b):
-        return (a - b) % self.char if self.char else a - b
-
     def mul(self, a, b):
         return (a * b) % self.char if self.char else a * b
 
@@ -129,30 +126,6 @@ class MonomialOrder:
         return f"MonomialOrder({self.kind})"
 
 
-class EliminationOrder(MonomialOrder):
-    """Block order eliminating the first `nelim` variables of the ring."""
-
-    def __init__(self, nelim, inner):
-        self.kind = "elim"
-        self.precedence = None
-        self.nelim = nelim
-        self.inner = inner
-
-    def key(self, exps):
-        head = exps[: self.nelim]
-        return (sum(head), head, self.inner.key(exps[self.nelim :]))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EliminationOrder)
-            and self.nelim == other.nelim
-            and self.inner == other.inner
-        )
-
-    def __hash__(self):
-        return hash(("elim", self.nelim, self.inner))
-
-
 _VAR_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 
 
@@ -209,19 +182,11 @@ class PolyRing:
         e[i] = 1
         return Poly(self, {tuple(e): self.field.one})
 
-    def gens(self):
-        return [self.var(v) for v in self.vars]
-
     def monomial(self, exps, coeff=None):
         coeff = self.field.one if coeff is None else self.field.coerce(coeff)
         if not coeff:
             return self.zero()
         return Poly(self, {tuple(exps): coeff})
-
-    def extended(self, extra_vars, order=None):
-        """Ring with `extra_vars` prepended (used for elimination)."""
-        order = order or EliminationOrder(len(extra_vars), self.order)
-        return PolyRing(self.field, tuple(extra_vars) + self.vars, order, (1,) * len(extra_vars) + self.weights)
 
     def parse(self, src):
         """Parse `src` in the fixed grammar; parse(print(f)) == f."""
@@ -354,29 +319,6 @@ class Poly:
             if v:
                 terms[tuple(ne)] = v
         return Poly(self.ring, terms)
-
-    def lift_to(self, ring):
-        """Reinterpret over a ring whose variables contain ours by name."""
-        idx = [ring.vars.index(v) for v in self.ring.vars]
-        terms = {}
-        for e, c in self.terms.items():
-            ne = [0] * ring.nvars
-            for i, exp in zip(idx, e):
-                ne[i] = exp
-            terms[tuple(ne)] = ring.field.coerce(c)
-        return Poly(ring, terms)
-
-    def project_to(self, ring):
-        """Inverse of lift_to; fails if a missing variable occurs."""
-        idx = {v: i for i, v in enumerate(self.ring.vars)}
-        keep = [idx[v] for v in ring.vars]
-        drop = [i for v, i in idx.items() if v not in ring.vars]
-        terms = {}
-        for e, c in self.terms.items():
-            if any(e[i] for i in drop):
-                raise ValidationError("polynomial does not lie in the subring")
-            terms[tuple(e[i] for i in keep)] = ring.field.coerce(c)
-        return Poly(ring, terms)
 
     # -- equality / printing ---------------------------------------------------
 

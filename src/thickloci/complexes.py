@@ -11,6 +11,8 @@ computed on models.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import RingMismatchError, ValidationError
 from .groebner import express_in_span, vec_is_zero
 from .modules import (
@@ -124,21 +126,19 @@ class DeltaNode(ComplexHandle):
     def __init__(self, module):
         super().__init__(module.ring, 0)
         self.module = module
-        self._resolution = None
 
     def bounds(self):
         return 0, 0
 
-    def _extended(self, steps):
-        if self._resolution is None:
-            self._resolution = Resolution(self.module)
-        return self._resolution.extend(steps)
+    @cached_property
+    def _resolution(self):
+        return Resolution(self.module)
 
     def _rank(self, i):
-        return self._extended(max(i, 1)).betti[i]
+        return self._resolution.extend(max(i, 1)).betti[i]
 
     def _diff(self, i):
-        return self._extended(i).differentials[i - 1].matrix
+        return self._resolution.extend(i).differentials[i - 1].matrix
 
 
 class FreeNode(ComplexHandle):

@@ -311,10 +311,6 @@ class Ideal:
     def contains_poly(self, f):
         return self.normal_form(f).is_zero()
 
-    def contains(self, other):
-        self._check(other)
-        return all(self.contains_poly(g) for g in other.gens)
-
     def _check(self, other):
         if not isinstance(other, Ideal) or other.ring != self.ring:
             raise RingMismatchError("ideals over different rings")
@@ -337,37 +333,28 @@ class Ideal:
         gb = self.groebner_basis()
         return len(gb) == 1 and gb[0].degree() == 0
 
-    def is_homogeneous(self):
-        return all(g.is_homogeneous() for g in self.gens)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         self._check(other)
         return Ideal(self.ring, self.gens + other.gens)
 
-    def product(self, other):
-        self._check(other)
-        return Ideal(self.ring, [a * b for a in self.gens for b in other.gens])
-
     def intersection(self, other):
+        """I ∩ J as the images sum(v_j * b_j) of the syzygies v of
+        (b_1, ..., b_n, a_1, ..., a_m), where the b generate `other` and
+        the a generate `self`."""
         self._check(other)
         if not self.gens or not other.gens:
             return Ideal(self.ring, [])
-        tname = "t_elim"
-        while tname in self.ring.vars:
-            tname += "_"
-        ext = self.ring.extended((tname,))
-        t = ext.var(tname)
-        one = ext.one()
-        gens = [t * a.lift_to(ext) for a in self.gens]
-        gens += [(one - t) * b.lift_to(ext) for b in other.gens]
-        j = Ideal(ext, gens)
-        kept = []
-        for g in j.groebner_basis():
-            if all(e[0] == 0 for e in g.terms):
-                kept.append(g.project_to(self.ring))
-        return Ideal(self.ring, kept)
+        syz = module_syzygies([(g,) for g in other.gens + self.gens], None, self.ring)
+        images = []
+        for v in syz:
+            image = self.ring.zero()
+            for c, b in zip(v, other.gens):
+                if c:
+                    image = image + c * b
+            images.append(image)
+        return Ideal(self.ring, images)
 
     def colon(self, f):
         """(self : f) = { g : g*f in self }."""

@@ -206,7 +206,7 @@ def ring_inverse(ring, element):
     cof = express_in_span((ring.base.one(),), [(e,)], ring.defining, ring.base)
     if cof is None:
         raise NotInvertibleError(f"{e} is not invertible in the quotient ring")
-    return ring.nf(cof[0])
+    return cof[0]
 
 
 def minimalize(module):
@@ -330,11 +330,6 @@ class Resolution:
         self.extend(steps)
         return tuple(self.betti[: steps + 1])
 
-    def differential(self, i):
-        """d_i : F_i -> F_{i-1} as a presentation-shaped matrix."""
-        self.extend(i)
-        return self.differentials[i - 1]
-
 
 def syzygy(module, n):
     """The n-th syzygy, presented minimally; syzygies of free modules are 0."""
@@ -393,18 +388,16 @@ def is_mcm(module):
 def pd_finite(module):
     """Exact projective dimension over Gorenstein R, or None if infinite.
 
-    pd is finite iff the d-th syzygy is free (Auslander-Buchsbaum bound)."""
+    pd is finite iff the d-th syzygy is free (Auslander-Buchsbaum bound);
+    in the minimal resolution that is betti[d + 1] == 0."""
     ring = module.ring
     if not ring.flags.is_gorenstein:
         raise ValidationError("projective dimension test requires a Gorenstein ring")
     if is_zero_module(module):
         return 0
-    d = ring.dim
-    res = Resolution(module).extend(d + 1)
-    omega_d = syzygy(module, d)
-    if not is_free(omega_d)[0]:
+    betti = Resolution(module).betti_numbers(ring.dim + 1)
+    if betti[-1]:
         return None
-    betti = res.betti_numbers(d + 1)
     return max(i for i, b in enumerate(betti) if b)
 
 
@@ -431,9 +424,9 @@ def fitting_chain(module):
 
 
 def _localizes_to_zero(gens, prime, ring):
-    """Every listed element maps to 0 in R_p: its annihilator escapes p."""
+    """Every listed element maps to 0 in R_p: its annihilator escapes p.
+    The elements are normal forms modulo the defining ideal."""
     for g in gens:
-        g = ring.nf(g)
         if g.is_zero():
             continue
         ann = ring.defining.colon(g)

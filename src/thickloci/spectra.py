@@ -156,6 +156,8 @@ def make_ring(base, defining, registry, gorenstein=None, lci_punctured=None, reg
             raise RingMismatchError(f"registry prime {p.name} over a different ring")
         if p.ideal.is_unit():
             raise ValidationError(f"registry ideal {p.name} is not proper")
+        if not p.trusted_prime:
+            raise ValidationError(f"registry ideal {p.name} is neither linear nor trusted to be prime")
         for g in p.ideal.gens:
             if not g.is_homogeneous():
                 raise ValidationError(f"non-homogeneous prime generator in {p.name}")

@@ -20,18 +20,14 @@ def monomials_of_degree(nvars, d):
     return out
 
 
-def solve_mod_p(rows, rhs, p):
-    """Solve A x = b over F_p; returns a solution list or None.
-
-    rows: list of coefficient rows (the matrix by rows)."""
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    nrows = len(m)
-    ncols = len(rows[0]) if rows else 0
+def _row_reduce(m, ncols, p):
+    """Gauss-Jordan elimination of the rows m over F_p in place, pivoting
+    in the first ncols columns; returns the pivot columns."""
     pivots = []
     r = 0
     for c in range(ncols):
         pivot = None
-        for i in range(r, nrows):
+        for i in range(r, len(m)):
             if m[i][c] % p:
                 pivot = i
                 break
@@ -40,19 +36,46 @@ def solve_mod_p(rows, rhs, p):
         m[r], m[pivot] = m[pivot], m[r]
         inv = pow(m[r][c], p - 2, p)
         m[r] = [(v * inv) % p for v in m[r]]
-        for i in range(nrows):
+        for i in range(len(m)):
             if i != r and m[i][c] % p:
                 f = m[i][c]
                 m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
-    for i in range(r, nrows):
+    return pivots
+
+
+def solve_mod_p(rows, rhs, p):
+    """Solve A x = b over F_p; returns a solution list or None.
+
+    rows: list of coefficient rows (the matrix by rows)."""
+    m = [list(r) + [b] for r, b in zip(rows, rhs)]
+    ncols = len(rows[0]) if rows else 0
+    pivots = _row_reduce(m, ncols, p)
+    for i in range(len(pivots), len(m)):
         if m[i][-1] % p:
             return None
     x = [0] * ncols
     for row_i, c in enumerate(pivots):
         x[c] = m[row_i][-1] % p
     return x
+
+
+def rank_mod_p(rows, p):
+    """Rank over F_p of the matrix given by its rows."""
+    return len(_row_reduce([list(r) for r in rows], len(rows[0]) if rows else 0, p))
+
+
+def _degree_multiples(gens, d):
+    """The products m * g of each homogeneous g with the monomials m of
+    standard degree d - deg(g): they span the degree-d part of the ideal."""
+    out = []
+    for g in gens:
+        if g.is_zero() or g.degree() > d:
+            continue
+        for mono in monomials_of_degree(g.ring.nvars, d - g.degree()):
+            out.append(g.mul_monomial(mono, g.ring.field.one))
+    return out
 
 
 def homogeneous_membership(target, gens):
@@ -63,23 +86,23 @@ def homogeneous_membership(target, gens):
     assert p, "oracle works over finite prime fields"
     if target.is_zero():
         return True
-    d = target.degree()
-    columns = []
-    for g in gens:
-        if g.is_zero():
-            continue
-        dg = g.degree()
-        if dg > d:
-            continue
-        for mono in monomials_of_degree(ring.nvars, d - dg):
-            prod = g.mul_monomial(mono, ring.field.one)
-            columns.append(prod)
+    columns = _degree_multiples(gens, target.degree())
     support = sorted({e for c in columns for e in c.terms} | set(target.terms))
     if not columns:
         return False
     rows = [[c.terms.get(e, 0) % p for c in columns] for e in support]
     rhs = [target.terms.get(e, 0) % p for e in support]
     return solve_mod_p(rows, rhs, p) is not None
+
+
+def degree_dimension(gens, d):
+    """dim over F_p of the degree-d part of the ideal of homogeneous gens
+    in a standard-graded polynomial ring."""
+    products = _degree_multiples(gens, d)
+    if not products:
+        return 0
+    support = sorted({e for f in products for e in f.terms})
+    return rank_mod_p([[f.terms.get(e, 0) for e in support] for f in products], products[0].ring.field.char)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thickloci.arith import EliminationOrder, Field, MonomialOrder, PolyRing
+from thickloci.arith import Field, MonomialOrder, PolyRing
 from thickloci.errors import PolyParseError, ValidationError
 
 F5 = Field(5)
@@ -122,11 +122,6 @@ class TestOrders:
         lex = ring2(order="lex")
         e, _ = lex.parse("x + y^5").leading_term(lex.order)
         assert e == (1, 0)
-
-    def test_elimination_order_blocks(self):
-        R = PolyRing(F5, ["t", "x", "y"], order=EliminationOrder(1, MonomialOrder("grevlex")))
-        e, _ = R.parse("t + x^4*y^4").leading_term(R.order)
-        assert e == (1, 0, 0)
 
     def test_bad_weights(self):
         with pytest.raises(ValidationError):

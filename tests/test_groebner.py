@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import homogeneous_membership, monomials_of_degree
+from oracles import degree_dimension, homogeneous_membership, monomials_of_degree
 from thickloci import groebner
 from thickloci.arith import Field, MonomialOrder, PolyRing
 from thickloci.errors import ResourceBudgetError
@@ -118,6 +118,38 @@ class TestIdealOps:
         a = Ideal(R, [R.parse("x")])
         b = Ideal(R, [R.parse("y")])
         assert a.intersection(b) == Ideal(R, [R.parse("x*y")])
+
+    def test_intersection_of_monomial_ideals_is_generated_by_lcms(self):
+        R = R3()
+        a = Ideal(R, [R.parse("x^2"), R.parse("y")])
+        b = Ideal(R, [R.parse("x*y^2"), R.parse("z")])
+        # lcms x^2*y^2, x^2*z, x*y^2, y*z; the first is a multiple of x*y^2
+        expected = Ideal(R, [R.parse("x^2*y^2"), R.parse("x^2*z"), R.parse("x*y^2"), R.parse("y*z")])
+        assert a.intersection(b) == expected
+        assert b.intersection(a) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_intersection_by_degree(self, seed):
+        """(I ∩ J)_d = I_d ∩ J_d: the generators lie in both ideals, and
+        dim (I ∩ J)_d = dim I_d + dim J_d - dim (I + J)_d over F5."""
+        rng = random.Random(seed)
+        R = R3()
+
+        def random_gens():
+            gens = [random_homogeneous(R, rng, rng.choice([1, 2, 2])) for _ in range(rng.choice([1, 2, 3]))]
+            return [g for g in gens if not g.is_zero()]
+
+        a, b = random_gens(), random_gens()
+        if not a or not b:
+            return
+        inter = Ideal(R, a).intersection(Ideal(R, b)).groebner_basis()
+        for g in inter:
+            assert g.is_homogeneous()
+            assert homogeneous_membership(g, a) and homogeneous_membership(g, b)
+        for d in range(6):
+            expected = degree_dimension(a, d) + degree_dimension(b, d) - degree_dimension(a + b, d)
+            assert degree_dimension(inter, d) == expected, f"degree {d}"
 
     def test_colon(self):
         R = R2()

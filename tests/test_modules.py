@@ -23,6 +23,7 @@ from thickloci.modules import (
     pd_finite,
     q_locus,
     quotient_by_prime,
+    quotient_module,
     residue_field,
     ring_inverse,
     sequence_is_exact,
@@ -105,6 +106,20 @@ class TestFreenessAndPd:
 
     def test_pd_zero_module(self, node):
         assert pd_finite(ModulePres(node.ring, [["1"]])) == 0
+
+    @pytest.mark.parametrize("name", ["node", "regular1"])
+    def test_pd_builds_one_resolution(self, name, request, monkeypatch):
+        ring = request.getfixturevalue(name).ring
+        built = []
+        init = Resolution.__init__
+
+        def counting_init(res, module):
+            built.append(module)
+            init(res, module)
+
+        monkeypatch.setattr(Resolution, "__init__", counting_init)
+        pd_finite(residue_field(ring))
+        assert len(built) == 1
 
 
 class TestFitting:
@@ -238,6 +253,12 @@ class TestAnnihilator:
         assert ann == ringify(ring, ["x"])
         assert annihilator(free_module(ring, 2)) == ring.defining
         assert annihilator(ModulePres(ring, [["1"]])).is_unit()
+
+    def test_direct_sum_annihilator_is_an_intersection(self, quad2):
+        """Over F5[x,y]/(x^2,y^2): ann(R/(x) ⊕ R/(y)) = (x) ∩ (y) = m^2."""
+        ring = quad2.ring
+        module = direct_sum(quotient_module(ring, ["x"]), quotient_module(ring, ["y"]))
+        assert annihilator(module) == ringify(ring, ["x^2", "x*y", "y^2"])
 
 
 class TestModuleMaps:

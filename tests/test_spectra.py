@@ -102,6 +102,21 @@ class TestMakeRing:
         with pytest.raises(ValidationError):
             make_ring(R, Ideal(R, [R.parse("x^2")]), [py, m])
 
+    def test_registry_primes_must_be_linear_or_trusted(self):
+        R = PolyRing(Field(5), ["x", "y"])
+        m = PrimeId("m", Ideal(R, [R.parse("x"), R.parse("y")]))
+        defining = Ideal(R, [R.parse("x^2*y")])
+        # (x^2, y) is not prime, and nothing certifies it
+        fake = PrimeId("fake", Ideal(R, [R.parse("x^2"), R.parse("y")]))
+        with pytest.raises(ValidationError, match="ideal fake is neither"):
+            make_ring(R, defining, [fake, m])
+        # x^2 - 2*y^2 is irreducible over F5 (2 is not a square mod 5)
+        gen = Ideal(R, [R.parse("x^2 - 2*y^2")])
+        with pytest.raises(ValidationError, match="ideal gen is neither"):
+            make_ring(R, gen, [PrimeId("gen", gen), m])
+        ring = make_ring(R, gen, [PrimeId("gen", gen, trusted=True), m])
+        assert ring.prime("gen").trusted_prime
+
     def test_hypersurface_flag_is_derived(self):
         R = PolyRing(Field(5), ["x", "y"])
         m = PrimeId("m", Ideal(R, [R.parse("x"), R.parse("y")]))
