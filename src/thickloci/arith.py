@@ -1,4 +1,4 @@
-"""Exact coefficient fields, multivariate polynomials and monomial orders.
+"""Exact coefficient fields, multivariate polynomials and the grevlex order.
 
 Coefficients are plain python ints (canonical range [0, p) for F_p) or
 Fractions (always in lowest terms with positive denominator).  Polynomials
@@ -81,58 +81,31 @@ class Field:
 
 
 class MonomialOrder:
-    """Total multiplicative monomial order with a variable precedence.
+    """Graded reverse lexicographic order, the engine's only monomial order."""
 
-    kind is one of 'grevlex', 'lex', 'grlex'.  precedence lists variable
-    indices from most to least significant; default is declaration order.
-    """
+    # the order's name, for code outside the engine that keys rings by content
+    kind = "grevlex"
+    precedence = None
 
-    KINDS = ("grevlex", "lex", "grlex")
-
-    def __init__(self, kind="grevlex", precedence=None):
-        if kind not in self.KINDS:
-            raise ValidationError(f"unknown monomial order {kind!r}")
-        self.kind = kind
-        self.precedence = tuple(precedence) if precedence is not None else None
-
-    def _perm(self, n):
-        if self.precedence is None:
-            return tuple(range(n))
-        if sorted(self.precedence) != list(range(n)):
-            raise ValidationError("precedence is not a permutation of the variables")
-        return self.precedence
-
-    def key(self, exps):
-        perm = self._perm(len(exps))
-        if self.kind == "lex":
-            return tuple(exps[i] for i in perm)
-        if self.kind == "grlex":
-            return (sum(exps),) + tuple(exps[i] for i in perm)
-        # grevlex: higher total degree wins; ties broken by the smallest
-        # exponent on the least significant variable (reverse scan, negated).
-        return (sum(exps),) + tuple(-exps[i] for i in reversed(perm))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MonomialOrder)
-            and self.kind == other.kind
-            and self.precedence == other.precedence
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.precedence))
+    @staticmethod
+    def key(exps):
+        # higher total degree wins; ties broken by the smallest exponent on
+        # the last variable (reverse scan, negated).
+        return (sum(exps), *[-e for e in reversed(exps)])
 
     def __repr__(self):
-        return f"MonomialOrder({self.kind})"
+        return "MonomialOrder(grevlex)"
 
 
 _VAR_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 
 
 class PolyRing:
-    """Polynomial ring descriptor: field, ordered variables, order, weights."""
+    """Polynomial ring descriptor: field, ordered variables, weights."""
 
-    def __init__(self, field, variables, order=None, weights=None):
+    order = MonomialOrder()
+
+    def __init__(self, field, variables, weights=None):
         self.field = field
         self.vars = tuple(variables)
         for v in self.vars:
@@ -140,7 +113,6 @@ class PolyRing:
                 raise ValidationError(f"bad variable name {v!r}")
         if len(set(self.vars)) != len(self.vars):
             raise ValidationError("duplicate variable names")
-        self.order = order if order is not None else MonomialOrder("grevlex")
         self.weights = tuple(weights) if weights is not None else (1,) * len(self.vars)
         if len(self.weights) != len(self.vars) or any(w <= 0 for w in self.weights):
             raise ValidationError("weights must be positive, one per variable")
@@ -154,12 +126,11 @@ class PolyRing:
             isinstance(other, PolyRing)
             and self.field == other.field
             and self.vars == other.vars
-            and self.order == other.order
             and self.weights == other.weights
         )
 
     def __hash__(self):
-        return hash((self.field, self.vars, self.order, self.weights))
+        return hash((self.field, self.vars, self.weights))
 
     def __repr__(self):
         return f"{self.field!r}[{', '.join(self.vars)}]"
@@ -282,11 +253,10 @@ class Poly:
 
     # -- queries -------------------------------------------------------------
 
-    def leading_term(self, order=None):
+    def leading_term(self):
         if not self.terms:
             raise ValidationError("leading term of the zero polynomial")
-        order = order or self.ring.order
-        e = max(self.terms, key=order.key)
+        e = max(self.terms, key=MonomialOrder.key)
         return e, self.terms[e]
 
     def constant_term(self):
@@ -347,8 +317,7 @@ class Poly:
     def __str__(self):
         if not self.terms:
             return "0"
-        order = self.ring.order
-        items = sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+        items = sorted(self.terms.items(), key=lambda t: MonomialOrder.key(t[0]), reverse=True)
         parts = []
         for i, (e, c) in enumerate(items):
             sign, body = self._term_str(e, c, lead=(i == 0))

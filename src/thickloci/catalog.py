@@ -132,9 +132,8 @@ def load(name):
 # omega table certification
 
 
-def _module_invariants(module, steps=4):
-    res = Resolution(module)
-    betti = res.betti_numbers(steps)
+def _module_invariants(module):
+    betti = Resolution(module).betti_numbers(4)
     fitts = tuple(i.groebner_basis() for i in fitting_chain(module))
     ann = annihilator(module).groebner_basis()
     locus = nonfree_locus(module).member_names

@@ -105,10 +105,7 @@ class ComplexHandle:
         r = self.rank(i)
         if r == 0:
             return ModulePres(ring, [])
-        if self.rank(i - 1) == 0:
-            kernel = Matrix.identity(ring, r).columns()
-        else:
-            kernel = span_relations(self.diff(i).columns(), [], ring)
+        kernel = span_relations(self.diff(i).columns(), [], ring)
         return subquotient(kernel, self.diff(i + 1).columns(), ring)
 
     def sup(self):
@@ -150,7 +147,7 @@ class FreeNode(ComplexHandle):
         self.diffs = {}
         for i, raw in diffs.items():
             i = int(i)
-            m = raw if isinstance(raw, Matrix) else Matrix.parse(ring, raw, cols=self._rank(i))
+            m = Matrix.parse(ring, raw, cols=self._rank(i))
             if m.rows != self._rank(i - 1) or m.cols != self._rank(i):
                 raise ValidationError(f"differential at degree {i} has wrong shape")
             self.diffs[i] = m
@@ -243,7 +240,7 @@ class ComplexMap:
         self._components = {}
         for i, raw in components.items():
             i = int(i)
-            m = raw if isinstance(raw, Matrix) else Matrix.parse(self.ring, raw, cols=source.rank(i))
+            m = Matrix.parse(self.ring, raw, cols=source.rank(i))
             if m.rows != target.rank(i) or m.cols != source.rank(i):
                 raise ValidationError(f"chain map component at degree {i} has wrong shape")
             self._components[i] = m
@@ -308,10 +305,7 @@ def stabilization_syzygy(handle):
     if s is None:
         return None, ModulePres(ring, [])
     n = max(s + ring.dim, s + 1)
-    cols = handle.diff(n).columns()
-    if handle.rank(n - 1) == 0 or not cols:
-        return n, ModulePres(ring, [])
-    return n, subquotient(cols, [], ring)
+    return n, subquotient(handle.diff(n).columns(), [], ring)
 
 
 def w_locus(handle):

@@ -42,11 +42,11 @@ def vec_mul_monomial(u, exps, coeff):
     return tuple(a.mul_monomial(exps, coeff) for a in u)
 
 
-def vec_leading(u, order):
+def vec_leading(u):
     """POT leading term: (position, exponents, coefficient)."""
     for pos, p in enumerate(u):
         if not p.is_zero():
-            e, c = p.leading_term(order)
+            e, c = p.leading_term()
             return pos, e, c
     raise ValidationError("leading term of the zero vector")
 
@@ -93,11 +93,10 @@ class SubmoduleGB:
 
     def _reduce_full(self, vec, basis, reps=None, rep=None):
         """Full normal form of vec against basis; tracks rep if given."""
-        order = self.ring.order
         remainder = list(vec_zero(self.ring, self.rank))
         work = tuple(vec)
         while not vec_is_zero(work):
-            pos, e, c = vec_leading(work, order)
+            pos, e, c = vec_leading(work)
             reduced = False
             for k, g in enumerate(basis):
                 gpos, ge, gc = g[1]
@@ -120,7 +119,6 @@ class SubmoduleGB:
     # -- Buchberger ---------------------------------------------------------
 
     def _compute_gb(self):
-        order = self.ring.order
         field = self.ring.field
         ngens = len(self.gens)
         basis = []  # list of (vector, (pos, exps, coeff))
@@ -134,7 +132,7 @@ class SubmoduleGB:
         for i, g in enumerate(self.gens):
             if vec_is_zero(g):
                 continue
-            basis.append((g, vec_leading(g, order)))
+            basis.append((g, vec_leading(g)))
             reps.append(unit_rep(i) if self.track else None)
 
         def make_pair(i, j):
@@ -189,7 +187,7 @@ class SubmoduleGB:
             nf, srep = self._reduce_full(s, basis, reps, srep)
             if vec_is_zero(nf):
                 continue
-            basis.append((nf, vec_leading(nf, order)))
+            basis.append((nf, vec_leading(nf)))
             reps.append(srep)
             newi = len(basis) - 1
             for k in range(newi):
@@ -201,7 +199,6 @@ class SubmoduleGB:
 
     def _reduce_basis(self, basis, reps):
         """Minimalize and inter-reduce: the unique reduced, monic GB."""
-        order = self.ring.order
         field = self.ring.field
         # drop elements whose leading term is divisible by another's
         keep = []
@@ -226,17 +223,15 @@ class SubmoduleGB:
             nf, rep = self._reduce_full(g, others, other_reps, reps[i])
             if vec_is_zero(nf):
                 continue
-            pos, e, c = vec_leading(nf, order)
+            pos, e, c = vec_leading(nf)
             inv = field.inv(c)
             nf = vec_scale(nf, self.ring.constant(inv))
             if rep is not None:
                 rep = vec_scale(rep, self.ring.constant(inv))
             reduced.append((nf, (pos, e, field.one)))
             red_reps.append(rep)
-        idx = sorted(
-            range(len(reduced)),
-            key=lambda k: (reduced[k][1][0], tuple(self.ring.order.key(reduced[k][1][1]))),
-        )
+        key = self.ring.order.key
+        idx = sorted(range(len(reduced)), key=lambda k: (reduced[k][1][0], key(reduced[k][1][1])))
         return [reduced[k] for k in idx], [red_reps[k] for k in idx]
 
     @property
@@ -370,8 +365,7 @@ class Ideal:
         gb = self.groebner_basis()
         if self.is_unit():
             return -1
-        order = self.ring.order
-        leads = [g.leading_term(order)[0] for g in gb]
+        leads = [g.leading_term()[0] for g in gb]
         supports = [frozenset(i for i, e in enumerate(lead) if e) for lead in leads]
         n = self.ring.nvars
         best = 0
@@ -386,12 +380,11 @@ class Ideal:
 def exact_divide(g, f):
     """Quotient g/f for g in the principal ideal (f); exact, no remainder."""
     ring = g.ring
-    order = ring.order
-    fe, fc = f.leading_term(order)
+    fe, fc = f.leading_term()
     q = ring.zero()
     work = g
     while not work.is_zero():
-        e, c = work.leading_term(order)
+        e, c = work.leading_term()
         if not _divides(fe, e):
             raise ValidationError("exact division failed")
         mono = ring.monomial(_exp_sub(e, fe), ring.field.div(c, fc))
@@ -493,5 +486,7 @@ def module_syzygies(gens, relations, ring, rank=None):
             if not vec_is_zero(tail):
                 syz.append(tail)
     # canonical order for reproducible downstream matrices
-    syz.sort(key=lambda v: (vec_leading(v, ring.order)[0], ring.order.key(vec_leading(v, ring.order)[1])))
-    return syz
+    key = ring.order.key
+    keys = [(pos, key(e)) for pos, e, _ in map(vec_leading, syz)]
+    idx = sorted(range(len(syz)), key=keys.__getitem__)
+    return [syz[k] for k in idx]

@@ -41,8 +41,13 @@ class Matrix:
 
     @staticmethod
     def parse(ring, raw, cols=None):
-        """Rows of Polys or strings over R's polynomial ring, reduced mod I;
-        `cols` fixes the width of a matrix without rows."""
+        """A Matrix over R as it is, or rows of Polys or strings over R's
+        polynomial ring reduced mod I; `cols` fixes the width of a matrix
+        without rows."""
+        if isinstance(raw, Matrix):
+            if raw.ring is not ring and raw.ring != ring:
+                raise RingMismatchError("matrix over a different ring")
+            return raw
         base = ring.base
         entries = []
         for raw_row in raw:
@@ -146,10 +151,7 @@ class ModulePres:
     """Cokernel presentation of a finitely generated R-module."""
 
     def __init__(self, ring, matrix):
-        if not isinstance(matrix, Matrix):
-            matrix = Matrix.parse(ring, matrix)
-        elif matrix.ring is not ring and matrix.ring != ring:
-            raise RingMismatchError("presentation matrix over a different ring")
+        matrix = Matrix.parse(ring, matrix)
         self.ring = ring
         self.matrix = matrix
         self.rows = matrix.rows
@@ -556,8 +558,7 @@ class ModuleMap:
         self.source = source
         self.target = target
         self.ring = source.ring
-        if not isinstance(matrix, Matrix):
-            matrix = Matrix.parse(self.ring, matrix, cols=source.rows)
+        matrix = Matrix.parse(self.ring, matrix, cols=source.rows)
         if matrix.rows != target.rows or matrix.cols != source.rows:
             raise ValidationError("map matrix shape mismatch")
         self.matrix = matrix
@@ -571,9 +572,6 @@ class ModuleMap:
 
     def kernel_preimage(self):
         """Generators of {v : F v in span(target relations)} in R^{source.rows}."""
-        if self.target.rows == 0:
-            # everything maps to zero
-            return Matrix.identity(self.ring, self.source.rows).columns()
         return span_relations(self.matrix.columns(), self.target.matrix.columns(), self.ring)
 
     def kernel_module(self):

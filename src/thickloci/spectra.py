@@ -137,7 +137,7 @@ def _minimal_generator_count(ideal):
     return len(kept)
 
 
-def make_ring(base, defining, registry, gorenstein=None, lci_punctured=None, regular=None, name=None):
+def make_ring(base, defining, registry, gorenstein=None, lci_punctured=None, name=None):
     """Validated graded-local ring presentation with derived flags.
 
     The hypersurface flag is derived from a principal minimalized defining
@@ -168,9 +168,6 @@ def make_ring(base, defining, registry, gorenstein=None, lci_punctured=None, reg
         raise ValidationError("registry must contain the maximal ideal")
 
     principal = _minimal_generator_count(defining) <= 1
-    is_regular = defining.is_zero() if regular is None else regular
-    if regular and not defining.is_zero():
-        raise ValidationError("regularity asserted for a nonzero defining ideal")
     is_hypersurface = principal
     is_gorenstein = True if is_hypersurface else bool(gorenstein)
     lci = True if is_hypersurface else bool(lci_punctured)
@@ -180,7 +177,7 @@ def make_ring(base, defining, registry, gorenstein=None, lci_punctured=None, reg
         is_hypersurface=is_hypersurface,
         is_gorenstein=is_gorenstein,
         lci_punctured=lci,
-        is_regular=is_regular,
+        is_regular=defining.is_zero(),
     )
     return RingPres(base, defining, registry, flags, name=name)
 

@@ -154,8 +154,8 @@ def reports_for(name):
     return reports
 
 
-def run_all(names=None):
+def run_all():
     out = []
-    for name in names or CATALOG_NAMES:
+    for name in CATALOG_NAMES:
         out.extend(reports_for(name))
     return out

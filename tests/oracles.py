@@ -20,6 +20,15 @@ def monomials_of_degree(nvars, d):
     return out
 
 
+def grevlex_greater(a, b):
+    """a > b in graded reverse lexicographic order: a has the higher total
+    degree, or at equal degree the last nonzero entry of a - b is negative."""
+    if sum(a) != sum(b):
+        return sum(a) > sum(b)
+    diff = [x - y for x, y in zip(a, b) if x != y]
+    return bool(diff) and diff[-1] < 0
+
+
 def _row_reduce(m, ncols, p):
     """Gauss-Jordan elimination of the rows m over F_p in place, pivoting
     in the first ncols columns; returns the pivot columns."""

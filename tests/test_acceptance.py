@@ -63,8 +63,8 @@ def test_criterion_1_groebner_soundness():
         gb = ideal.groebner_basis()
         for i in range(len(gb)):
             for j in range(i + 1, len(gb)):
-                ei, ci = gb[i].leading_term(R.order)
-                ej, cj = gb[j].leading_term(R.order)
+                ei, ci = gb[i].leading_term()
+                ej, cj = gb[j].leading_term()
                 lcm = tuple(max(a, b) for a, b in zip(ei, ej))
                 si = gb[i].mul_monomial(tuple(l - a for l, a in zip(lcm, ei)), R.field.inv(ci))
                 sj = gb[j].mul_monomial(tuple(l - a for l, a in zip(lcm, ej)), R.field.inv(cj))

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import grevlex_greater
 from thickloci.arith import Field, MonomialOrder, PolyRing
 from thickloci.errors import PolyParseError, ValidationError
 
@@ -8,8 +9,15 @@ F5 = Field(5)
 QQ = Field(0)
 
 
-def ring2(field=F5, order="grevlex"):
-    return PolyRing(field, ["x", "y"], order=MonomialOrder(order))
+def ring2(field=F5):
+    return PolyRing(field, ["x", "y"])
+
+
+@st.composite
+def exponent_pairs(draw):
+    """Two exponent tuples in the same 1-4 variables."""
+    exps = st.tuples(*[st.integers(0, 4)] * draw(st.integers(1, 4)))
+    return draw(exps), draw(exps)
 
 
 @st.composite
@@ -113,15 +121,18 @@ class TestArithmetic:
 class TestOrders:
     def test_grevlex_leading_terms(self):
         R = ring2()
-        e, c = R.parse("x^2+x*y^2").leading_term(R.order)
+        e, c = R.parse("x^2+x*y^2").leading_term()
         assert e == (1, 2)
-        e, _ = R.parse("x^2*y + x*y^2").leading_term(R.order)
+        e, _ = R.parse("x^2*y + x*y^2").leading_term()
         assert e == (2, 1)  # grevlex tie-break favors earlier variables
 
-    def test_lex_vs_grevlex(self):
-        lex = ring2(order="lex")
-        e, _ = lex.parse("x + y^5").leading_term(lex.order)
-        assert e == (1, 0)
+    @settings(max_examples=300, deadline=None)
+    @given(exponent_pairs())
+    def test_key_orders_as_grevlex(self, pair):
+        a, b = pair
+        key = MonomialOrder().key
+        assert (key(a) > key(b)) == grevlex_greater(a, b)
+        assert (key(a) < key(b)) == grevlex_greater(b, a)
 
     def test_bad_weights(self):
         with pytest.raises(ValidationError):

@@ -8,8 +8,10 @@ from thickloci.complexes import (
     stabilize,
     w_locus,
 )
-from thickloci.errors import ValidationError
+from thickloci.errors import RingMismatchError, ValidationError
 from thickloci.modules import (
+    Matrix,
+    ModuleMap,
     Resolution,
     is_mcm,
     is_zero_module,
@@ -122,6 +124,20 @@ class TestFreeModels:
         for i in range(-1, 3):
             assert is_zero_module(cone.homology(i))
         assert cone.sup() is None
+
+
+MATRIX_TAKERS = {
+    "ModuleMap": lambda cat, m: ModuleMap(cat.sample("R"), cat.sample("R"), m),
+    "ComplexHandle.free": lambda cat, m: ComplexHandle.free(cat.ring, 0, [1, 1], {1: m}),
+    "ComplexMap": lambda cat, m: ComplexMap(*[ComplexHandle.free(cat.ring, 0, [1], {})] * 2, {0: m}),
+}
+
+
+@pytest.mark.parametrize("make", MATRIX_TAKERS.values(), ids=MATRIX_TAKERS.keys())
+def test_matrix_over_another_ring_is_rejected(make, node, quad2):
+    make(node, Matrix.identity(node.ring, 1))
+    with pytest.raises(RingMismatchError):
+        make(node, Matrix.identity(quad2.ring, 1))
 
 
 class TestHomologyAndSup:

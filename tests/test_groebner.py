@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import degree_dimension, homogeneous_membership, monomials_of_degree
 from thickloci import groebner
-from thickloci.arith import Field, MonomialOrder, PolyRing
+from thickloci.arith import Field, PolyRing
 from thickloci.errors import ResourceBudgetError
 from thickloci.groebner import (
     Ideal,
@@ -56,8 +56,8 @@ class TestReducedGB:
             gb = ideal.groebner_basis()
             for i in range(len(gb)):
                 for j in range(i + 1, len(gb)):
-                    ei, ci = gb[i].leading_term(R.order)
-                    ej, cj = gb[j].leading_term(R.order)
+                    ei, ci = gb[i].leading_term()
+                    ej, cj = gb[j].leading_term()
                     lcm = tuple(max(a, b) for a, b in zip(ei, ej))
                     si = gb[i].mul_monomial(
                         tuple(l - a for l, a in zip(lcm, ei)), R.field.inv(ci)
