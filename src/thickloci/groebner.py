@@ -351,15 +351,6 @@ class Ideal:
             images.append(image)
         return Ideal(self.ring, images)
 
-    def colon(self, f):
-        """(self : f) = { g : g*f in self }."""
-        if isinstance(f, str):
-            f = self.ring.parse(f)
-        if f.is_zero():
-            return Ideal(self.ring, [self.ring.one()])
-        inter = self.intersection(Ideal(self.ring, [f]))
-        return Ideal(self.ring, [exact_divide(g, f) for g in inter.groebner_basis()])
-
     def dimension(self):
         """Krull dimension of S/I via leading-term combinatorics; -1 if unit."""
         gb = self.groebner_basis()
@@ -375,22 +366,6 @@ class Ideal:
                 if all(not s <= sub for s in supports):
                     return size
         return best
-
-
-def exact_divide(g, f):
-    """Quotient g/f for g in the principal ideal (f); exact, no remainder."""
-    ring = g.ring
-    fe, fc = f.leading_term()
-    q = ring.zero()
-    work = g
-    while not work.is_zero():
-        e, c = work.leading_term()
-        if not _divides(fe, e):
-            raise ValidationError("exact division failed")
-        mono = ring.monomial(_exp_sub(e, fe), ring.field.div(c, fc))
-        q = q + mono
-        work = work - mono * f
-    return q
 
 
 # ---------------------------------------------------------------------------

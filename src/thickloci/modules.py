@@ -1,10 +1,12 @@
 """Finitely generated R-modules as presented cokernels.
 
 A module is the cokernel of a matrix over R = S/I (rows = generators,
-columns = relations).  Everything downstream — minimal resolutions,
-syzygies, Fitting ideals, duals, freeness loci — is driven by the syzygy
-engine of `groebner`, with minimal presentations normalized by pivoting on
-unit entries (exact in the graded-local model by Nakayama).
+columns = relations).  Minimal resolutions, syzygies, Fitting ideals and
+duals are driven by the syzygy engine of `groebner`, with minimal
+presentations normalized by pivoting on unit entries (exact in the
+graded-local model by Nakayama).  Nonfree loci come from ranks of the
+presentation and its relations over the residue field of each registry
+prime (the Tor_1 criterion); they need no minors and no localization.
 """
 
 from __future__ import annotations
@@ -407,62 +409,61 @@ def pd_finite(module):
 # Fitting ideals and loci
 
 
-def _fitting_minors(m):
-    """Per j, the minors of size rows - j of a minimal presentation m: the
-    generators of Fitt_j beyond the defining relations."""
-    base = m.ring.base
+def fitting_chain(module):
+    """Ascending chain [Fitt_0, ..., Fitt_rows = R] of the module's ideals:
+    Fitt_j is generated by the defining relations and the minors of size
+    rows - j of the minimal presentation."""
+    m = minimalize(module)
+    base = module.ring.base
+    rel = list(module.ring.defining.gens)
     return [
-        _minors(m.matrix.entries, m.rows - j, base) if j < m.rows else [base.one()]
+        Ideal(base, rel + _minors(m.matrix.entries, m.rows - j, base))
         for j in range(m.rows + 1)
     ]
 
 
-def fitting_chain(module):
-    """Ascending chain [Fitt_0, ..., Fitt_rows = R] of the module's ideals."""
-    m = minimalize(module)
-    base = module.ring.base
-    rel = list(module.ring.defining.gens)
-    return [Ideal(base, rel + minors) for minors in _fitting_minors(m)]
-
-
-def _localizes_to_zero(gens, prime, ring):
-    """Every listed element maps to 0 in R_p: its annihilator escapes p.
-    The elements are normal forms modulo the defining ideal."""
-    for g in gens:
-        if g.is_zero():
-            continue
-        ann = ring.defining.colon(g)
-        if all(prime.ideal.contains_poly(a) for a in ann.groebner_basis()):
-            return False
-    return True
+def _rank_at(prime, columns):
+    """Rank over kappa(p), the fraction field of the domain S/p, of the
+    matrix with these columns.  Division-free elimination: entries are
+    normal forms modulo p, the pivot is a nonzero entry of least degree,
+    and every other row r becomes u * r - a * (pivot row)."""
+    nf = prime.ideal.normal_form
+    rows = [[nf(e) for e in row] for row in zip(*columns)]
+    rank = 0
+    while True:
+        entries = [(e.degree(), i, j) for i, row in enumerate(rows) for j, e in enumerate(row) if e]
+        if not entries:
+            return rank
+        _, i, j = min(entries)
+        top = rows.pop(i)
+        u = top[j]
+        for k, row in enumerate(rows):
+            a = row[j]
+            if a:
+                rows[k] = [nf(u * e - a * t) for e, t in zip(row, top)]
+        rank += 1
 
 
 def nonfree_locus(module):
     """Registry primes where the localized module is not free.
 
-    Freeness at p: some Fitt_r is not contained in p while Fitt_{r-1}
-    localizes to zero at p (Fitt_{-1} = 0 localizes to zero trivially)."""
+    M_p is free exactly when Tor_1(M_p, kappa(p)) = 0.  With d_1 : F_1 ->
+    F_0 the minimal presentation and d_2 : F_2 -> F_1 generating its
+    relations, that Tor is the homology at F_1 of the complex tensored with
+    kappa(p); so M_p is free iff rank d_1 + rank d_2 = rank F_1 over
+    kappa(p).  d_2 is computed only at a prime where rank d_1 falls short."""
     ring = module.ring
     m = minimalize(module)
-    if m.rows == 0:
-        return SpecSubset(ring, [])
-    # the interesting generators of Fitt_j are the minors (the defining
-    # relations lie in every registry prime)
-    minor_gens = [[ring.nf(g) for g in minors] for minors in _fitting_minors(m)]
+    d1 = m.matrix.columns()
+    d2 = None
     bad = []
     for p in ring.registry:
-        free_here = False
-        for r in range(m.rows + 1):
-            fitt_r_outside = any(
-                not p.ideal.contains_poly(g) for g in minor_gens[r] if not g.is_zero()
-            )
-            if not fitt_r_outside:
-                continue
-            prev = minor_gens[r - 1] if r >= 1 else []
-            if _localizes_to_zero(prev, p, ring):
-                free_here = True
-                break
-        if not free_here:
+        r1 = _rank_at(p, d1)
+        if r1 == m.cols:
+            continue
+        if d2 is None:
+            d2 = span_relations(d1, [], ring)
+        if r1 + _rank_at(p, d2) < m.cols:
             bad.append(p)
     return SpecSubset(ring, bad)
 

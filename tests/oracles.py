@@ -1,12 +1,14 @@
 """Independent brute-force oracles used to certify the engine.
 
-Nothing here calls the Groebner machinery: membership is decided by exact
-linear algebra over F_p in a fixed degree, and local freeness by explicit
-unit pivoting in the localization.
+Membership is decided by exact linear algebra over F_p in a fixed degree,
+with no Groebner machinery.  Local freeness is decided twice: by explicit
+unit pivoting in the localization, and by the Fitting criterion; both ask
+the engine only for ideal membership, intersections and Fitting ideals,
+and read annihilators off the colon ideal defined here.
 """
 
-import itertools
-from fractions import Fraction
+from thickloci.groebner import Ideal
+from thickloci.modules import fitting_chain
 
 
 def monomials_of_degree(nvars, d):
@@ -122,13 +124,51 @@ def _in_prime(ring_pres, f, prime):
     return prime.ideal.contains_poly(ring_pres.nf(f))
 
 
+def exact_divide(g, f):
+    """Quotient g/f for g in the principal ideal (f), by division on
+    leading terms; raises ValueError when f does not divide g."""
+    ring = g.ring
+    fe, fc = f.leading_term()
+    q = ring.zero()
+    work = g
+    while not work.is_zero():
+        e, c = work.leading_term()
+        if any(a > b for a, b in zip(fe, e)):
+            raise ValueError("exact division failed")
+        mono = ring.monomial(tuple(b - a for a, b in zip(fe, e)), ring.field.div(c, fc))
+        q = q + mono
+        work = work - mono * f
+    return q
+
+
+def colon(ideal, f):
+    """(ideal : f) = {g : g*f in ideal} for f nonzero, read off
+    ideal ∩ (f) = f * (ideal : f)."""
+    ring = ideal.ring
+    inter = ideal.intersection(Ideal(ring, [f]))
+    return Ideal(ring, [exact_divide(g, f) for g in inter.groebner_basis()])
+
+
 def _vanishes_locally(ring_pres, f, prime):
     """f = 0 in R_p: some s outside p kills f into I."""
     f = ring_pres.nf(f)
     if f.is_zero():
         return True
-    ann = ring_pres.defining.colon(f)
+    ann = colon(ring_pres.defining, f)
     return any(not prime.ideal.contains_poly(a) for a in ann.groebner_basis())
+
+
+def fitting_is_free(module, prime):
+    """Fitting criterion (Eisenbud, Commutative Algebra, §20.2): M_p is
+    free iff some Fitt_r is not contained in p while Fitt_{r-1} vanishes in
+    R_p (Fitt_{-1} = 0 vanishes trivially).  The last ideal of the chain
+    is R, so the first r with Fitt_r outside p decides."""
+    ring = module.ring
+    chain = fitting_chain(module)
+    for r, fitt in enumerate(chain):
+        if not all(prime.ideal.contains_poly(g) for g in fitt.gens):
+            return r == 0 or all(_vanishes_locally(ring, g, prime) for g in chain[r - 1].gens)
+
 
 def localized_is_free(module, prime):
     """Unit-pivot reduction of the presentation inside R_p.

@@ -1,10 +1,15 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import localized_is_free
+from oracles import fitting_is_free, localized_is_free, monomials_of_degree
+from thickloci import modules
+from thickloci.arith import Field, PolyRing
+from thickloci.catalog import load
 from thickloci.errors import NotInvertibleError, ValidationError
+from thickloci.groebner import Ideal
 from thickloci.modules import (
     ModuleMap,
     ModulePres,
@@ -30,7 +35,7 @@ from thickloci.modules import (
     strip_free,
     syzygy,
 )
-from thickloci.spectra import SpecSubset, singular_locus
+from thickloci.spectra import PrimeId, SpecSubset, make_ring, singular_locus
 
 
 def names(subset):
@@ -160,9 +165,18 @@ class TestFitting:
         assert all(b[i] == zero_gb for i in range(shift))
 
 
-def ringify(ring, gens):
-    from thickloci.groebner import Ideal
+def random_form(ring, rng, degree):
+    """A random form of weighted degree `degree`; 0 when that is negative or
+    no monomial has it."""
+    form = ring.zero()
+    for total in range(degree + 1):
+        for e in monomials_of_degree(ring.nvars, total):
+            if sum(a * w for a, w in zip(e, ring.weights)) == degree:
+                form = form + ring.monomial(e, rng.randrange(ring.field.char))
+    return form
 
+
+def ringify(ring, gens):
     return Ideal(ring.base, [ring.base.parse(g) for g in gens])
 
 
@@ -187,6 +201,45 @@ class TestNonfreeLocus:
                         f"{'free' if p.name not in got else 'nonfree'}, oracle "
                         f"{'free' if oracle_free else 'nonfree'}"
                     )
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_random_graded_presentations_against_both_oracles(self, seed):
+        """Entry (i, j) is a random form of degree d_j - e_i (0 when that is
+        negative); the locus must match the localization oracle and the
+        Fitting criterion at every registry prime."""
+        rng = random.Random(seed)
+        ring = load(rng.choice(["NODE", "RIBBON", "WHITNEY3", "CUSP"])).ring
+        shifts = [rng.randrange(3) for _ in range(rng.randint(1, 3))]
+        degrees = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        module = ModulePres(ring, [[random_form(ring.base, rng, d - e) for d in degrees] for e in shifts])
+        got = nonfree_locus(module).member_names
+        for p in ring.registry:
+            engine_free = p.name not in got
+            assert engine_free == localized_is_free(module, p), f"{module.matrix.entries} at {p.name}"
+            assert engine_free == fitting_is_free(module, p), f"{module.matrix.entries} at {p.name}"
+
+    def test_high_syzygies_of_k_over_a_complete_intersection(self):
+        """Omega^3 k and Omega^5 k over F5[x,y,z]/(x^2,y^2,z^2) have 10x15 and
+        21x28 presentations; every minor of the first is about 3.3M
+        determinants.  Both loci are {m}, each computed in under a second."""
+        S = PolyRing(Field(5), ["x", "y", "z"])
+        ring = make_ring(S, Ideal(S, ["x^2", "y^2", "z^2"]), [PrimeId("m", Ideal(S, ["x", "y", "z"]))])
+        res = Resolution(residue_field(ring)).extend(6)
+        for n, shape in ((3, (10, 15)), (5, (21, 28))):
+            omega = res.differentials[n]
+            assert (omega.rows, omega.cols) == shape
+            start = time.perf_counter()
+            assert names(nonfree_locus(omega)) == ["m"]
+            assert time.perf_counter() - start < 1.0
+
+    def test_evaluates_no_minors(self, node, ribbon, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("nonfree_locus evaluated a minor")
+
+        monkeypatch.setattr(modules, "_minors", refuse)
+        assert names(nonfree_locus(node.sample("k"))) == ["m"]
+        assert names(nonfree_locus(ribbon.sample("Rx"))) == ["m", "px"]
 
     def test_zero_module_conventions(self, node):
         zero = ModulePres(node.ring, [["1"]])
