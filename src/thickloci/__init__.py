@@ -19,7 +19,6 @@ from .classify import (
 from .complexes import ComplexHandle, ComplexMap, is_perfect, stabilize, w_locus
 from .errors import (
     KindMismatchError,
-    NotInvertibleError,
     PolyParseError,
     ResourceBudgetError,
     RingMismatchError,

@@ -147,14 +147,10 @@ def _emit_text(payload, indent=""):
 
 
 def cmd_catalog(args):
-    if args.action == "list":
-        return {"rings": list(CATALOG_NAMES)}, 0
-    raise UsageError(f"unknown catalog action {args.action!r}")
+    return {"rings": list(CATALOG_NAMES)}, 0
 
 
 def cmd_ring(args):
-    if args.action != "info":
-        raise UsageError(f"unknown ring action {args.action!r}")
     ring = resolve_ring(args.ref)
     sing = singular_locus(ring)
     return {
@@ -190,11 +186,7 @@ def cmd_module(args):
             "nonfree_locus": sorted(nonfree_locus(module).member_names),
             "infinite_pd_locus": sorted(q_locus(module).member_names),
         }, 0
-    if args.action == "fitting":
-        return {
-            "fitting": [sorted(str(g) for g in i.groebner_basis()) for i in fitting_chain(module)]
-        }, 0
-    raise UsageError(f"unknown module action {args.action!r}")
+    return {"fitting": [sorted(str(g) for g in i.groebner_basis()) for i in fitting_chain(module)]}, 0
 
 
 def cmd_complex(args):
@@ -204,10 +196,8 @@ def cmd_complex(args):
     if args.action == "stabilize":
         stab = stabilize(handle)
         return {"matrix": _matrix_out(stab), "rows": stab.rows, "cols": stab.cols}, 0
-    if args.action == "sup":
-        s = handle.sup()
-        return {"sup": "-inf" if s is None else s}, 0
-    raise UsageError(f"unknown complex action {args.action!r}")
+    s = handle.sup()
+    return {"sup": "-inf" if s is None else s}, 0
 
 
 def _descriptor_from_args(args, ring):
@@ -247,22 +237,18 @@ def cmd_classify(args):
         obj = resolve_complex(ref) if args.setting == "DER" else resolve_module(ref, ring)
         verdict = membership(desc, obj)
         return {"status": verdict.status, "reason": verdict.reason}, 0
-    if args.action == "transport":
-        if not args.to:
-            raise UsageError("classify transport needs --to")
-        moved = transport(desc, args.to)
-        return {
-            "to": args.to,
-            "generators": len(moved.generators),
-            "locus": sorted(locus(moved).member_names),
-            "locus_preserved": locus(moved) == locus(desc),
-        }, 0
-    raise UsageError(f"unknown classify action {args.action!r}")
+    if not args.to:
+        raise UsageError("classify transport needs --to")
+    moved = transport(desc, args.to)
+    return {
+        "to": args.to,
+        "generators": len(moved.generators),
+        "locus": sorted(locus(moved).member_names),
+        "locus_preserved": locus(moved) == locus(desc),
+    }, 0
 
 
 def cmd_verify(args):
-    if args.action != "all":
-        raise UsageError(f"unknown verify action {args.action!r}")
     if args.ring:
         name = _parse_ref(args.ring)[1] if args.ring.startswith("catalog:") else args.ring
         reports = reports_for(name)

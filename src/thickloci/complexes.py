@@ -14,11 +14,13 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import RingMismatchError, ValidationError
-from .groebner import express_in_span, vec_is_zero
+from .groebner import vec_is_zero
 from .modules import (
     Matrix,
     ModulePres,
     Resolution,
+    check_graded,
+    cofactors,
     cosyzygy,
     is_mcm,
     is_zero_module,
@@ -155,6 +157,8 @@ class FreeNode(ComplexHandle):
         for i, d in self.diffs.items():
             if i + 1 in self.diffs and not (d @ self.diffs[i + 1]).is_zero():
                 raise ValidationError(f"d_{i} d_{i+1} != 0")
+        maps = {(i - lo - 1, i - lo): d for i, d in self.diffs.items() if lo < i < lo + len(self.ranks)}
+        check_graded(ring, self.ranks, maps, "differentials")
 
     def bounds(self):
         return self.lo, self.lo + len(self.ranks) - 1
@@ -245,6 +249,26 @@ class ComplexMap:
                 raise ValidationError(f"chain map component at degree {i} has wrong shape")
             self._components[i] = m
         self._check_squares()
+        self._check_graded()
+
+    def _check_graded(self):
+        """The given components and the differentials around them share one
+        grading.  X_j is free module 2(j - lo) of the check and Y_j the next
+        one, for j from lo = min(given) - 1 to max(given)."""
+        if not self._components:
+            return
+        src, tgt = self.source, self.target
+        lo, hi = min(self._components) - 1, max(self._components)
+        ranks, maps = [], {}
+        for j in range(lo, hi + 1):
+            x = 2 * (j - lo)
+            ranks += [src.rank(j), tgt.rank(j)]
+            if j > lo:
+                maps[x - 2, x] = src.diff(j)
+                maps[x - 1, x + 1] = tgt.diff(j)
+            if j in self._components:
+                maps[x + 1, x] = self._components[j]
+        check_graded(self.ring, ranks, maps, "chain map and differentials")
 
     def _check_squares(self):
         src, tgt = self.source, self.target
@@ -281,7 +305,7 @@ class ComplexMap:
             if vec_is_zero(col):
                 out_cols.append(zero)
                 continue
-            cof = express_in_span(col, target_cols, ring.defining, ring.base)
+            cof = cofactors(col, target_cols, ring)
             if cof is None:
                 raise ValidationError(f"chain map cannot be lifted to degree {i}")
             out_cols.append(cof)

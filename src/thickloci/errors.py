@@ -20,11 +20,8 @@ class ResourceBudgetError(ThickLociError):
 
 
 class ValidationError(ThickLociError):
-    """Inconsistent input data (flags, registries, non-homogeneous ideals)."""
-
-
-class NotInvertibleError(ThickLociError):
-    """An element expected to be a unit has no inverse in the ring."""
+    """Inconsistent input data (flags, registries, non-homogeneous ideals,
+    ungraded matrices)."""
 
 
 class KindMismatchError(ThickLociError):

@@ -68,18 +68,16 @@ def _exp_lcm(e1, e2):
 
 
 class SubmoduleGB:
-    """Submodule of a free module S^rank with a lazily computed reduced GB.
+    """Submodule of a free module S^rank with a lazily computed reduced GB."""
 
-    With track=True every GB element carries its representation in terms of
-    the input generators, enabling cofactor extraction via `express`.
-    """
+    # read by the benchmark tracer, which keys bases by it; nothing is tracked
+    track = False
 
-    def __init__(self, ring, rank, gens, track=False):
+    def __init__(self, ring, rank, gens):
         self.ring = ring
         self.rank = rank
-        self.track = track
         self.gens = []
-        for i, g in enumerate(gens):
+        for g in gens:
             if len(g) != rank:
                 raise RingMismatchError("generator rank mismatch")
             for p in g:
@@ -87,53 +85,33 @@ class SubmoduleGB:
                     raise RingMismatchError("generator over a different ring")
             self.gens.append(tuple(g))
         self._gb = None
-        self._gb_reps = None
 
     # -- reduction ----------------------------------------------------------
 
-    def _reduce_full(self, vec, basis, reps=None, rep=None):
-        """Full normal form of vec against basis; tracks rep if given."""
+    def _reduce_full(self, vec, basis):
+        """Full normal form of vec against basis."""
         remainder = list(vec_zero(self.ring, self.rank))
         work = tuple(vec)
         while not vec_is_zero(work):
             pos, e, c = vec_leading(work)
-            reduced = False
-            for k, g in enumerate(basis):
-                gpos, ge, gc = g[1]
+            for g, (gpos, ge, gc) in basis:
                 if gpos == pos and _divides(ge, e):
-                    q_exp = _exp_sub(e, ge)
-                    q_c = self.ring.field.div(c, gc)
-                    work = vec_sub(work, vec_mul_monomial(g[0], q_exp, q_c))
-                    if rep is not None:
-                        rep = vec_sub(rep, vec_mul_monomial(reps[k], q_exp, q_c))
-                    reduced = True
+                    work = vec_sub(work, vec_mul_monomial(g, _exp_sub(e, ge), self.ring.field.div(c, gc)))
                     break
-            if not reduced:
+            else:
                 mono = self.ring.monomial(e, c)
                 remainder[pos] = remainder[pos] + mono
                 lead = list(vec_zero(self.ring, self.rank))
                 lead[pos] = mono
                 work = vec_sub(work, tuple(lead))
-        return tuple(remainder), rep
+        return tuple(remainder)
 
     # -- Buchberger ---------------------------------------------------------
 
     def _compute_gb(self):
+        """(reduced basis, None); the benchmark tracer unpacks this pair."""
         field = self.ring.field
-        ngens = len(self.gens)
-        basis = []  # list of (vector, (pos, exps, coeff))
-        reps = []  # representation of each basis element over self.gens
-
-        def unit_rep(i):
-            r = list(vec_zero(self.ring, ngens))
-            r[i] = self.ring.one()
-            return tuple(r)
-
-        for i, g in enumerate(self.gens):
-            if vec_is_zero(g):
-                continue
-            basis.append((g, vec_leading(g)))
-            reps.append(unit_rep(i) if self.track else None)
+        basis = [(g, vec_leading(g)) for g in self.gens if not vec_is_zero(g)]
 
         def make_pair(i, j):
             (gi, (pi, ei, _)), (gj, (pj, ej, _)) = basis[i], basis[j]
@@ -178,26 +156,19 @@ class SubmoduleGB:
                 vec_mul_monomial(gi, _exp_sub(lcm, ei), field.inv(ci)),
                 vec_mul_monomial(gj, _exp_sub(lcm, ej), field.inv(cj)),
             )
-            srep = None
-            if self.track:
-                srep = vec_sub(
-                    vec_mul_monomial(reps[i], _exp_sub(lcm, ei), field.inv(ci)),
-                    vec_mul_monomial(reps[j], _exp_sub(lcm, ej), field.inv(cj)),
-                )
-            nf, srep = self._reduce_full(s, basis, reps, srep)
+            nf = self._reduce_full(s, basis)
             if vec_is_zero(nf):
                 continue
             basis.append((nf, vec_leading(nf)))
-            reps.append(srep)
             newi = len(basis) - 1
             for k in range(newi):
                 p = make_pair(k, newi)
                 if p is not None:
                     pairs.append(p)
 
-        return self._reduce_basis(basis, reps)
+        return self._reduce_basis(basis), None
 
-    def _reduce_basis(self, basis, reps):
+    def _reduce_basis(self, basis):
         """Minimalize and inter-reduce: the unique reduced, monic GB."""
         field = self.ring.field
         # drop elements whose leading term is divisible by another's
@@ -211,33 +182,24 @@ class SubmoduleGB:
                     dominated = True
                     break
             if not dominated:
-                keep.append(i)
-        basis = [basis[i] for i in keep]
-        reps = [reps[i] for i in keep]
+                keep.append(basis[i])
+        basis = keep
         # tail-reduce each element against the others, normalize monic
         reduced = []
-        red_reps = []
         for i, (g, lead) in enumerate(basis):
-            others = basis[:i] + basis[i + 1 :]
-            other_reps = reps[:i] + reps[i + 1 :]
-            nf, rep = self._reduce_full(g, others, other_reps, reps[i])
+            nf = self._reduce_full(g, basis[:i] + basis[i + 1 :])
             if vec_is_zero(nf):
                 continue
             pos, e, c = vec_leading(nf)
-            inv = field.inv(c)
-            nf = vec_scale(nf, self.ring.constant(inv))
-            if rep is not None:
-                rep = vec_scale(rep, self.ring.constant(inv))
+            nf = vec_scale(nf, self.ring.constant(field.inv(c)))
             reduced.append((nf, (pos, e, field.one)))
-            red_reps.append(rep)
         key = self.ring.order.key
-        idx = sorted(range(len(reduced)), key=lambda k: (reduced[k][1][0], key(reduced[k][1][1])))
-        return [reduced[k] for k in idx], [red_reps[k] for k in idx]
+        return sorted(reduced, key=lambda g: (g[1][0], key(g[1][1])))
 
     @property
     def gb(self):
         if self._gb is None:
-            self._gb, self._gb_reps = self._compute_gb()
+            self._gb, _ = self._compute_gb()
         return self._gb
 
     def gb_vectors(self):
@@ -246,25 +208,10 @@ class SubmoduleGB:
     def normal_form(self, vec):
         if len(vec) != self.rank:
             raise RingMismatchError("vector rank mismatch")
-        nf, _ = self._reduce_full(tuple(vec), self.gb, None, None)
-        return nf
+        return self._reduce_full(tuple(vec), self.gb)
 
     def contains(self, vec):
         return vec_is_zero(self.normal_form(vec))
-
-    def express(self, vec):
-        """Cofactors of vec over the original generators, or None.
-
-        Requires track=True.  Returns q with vec == sum(q_i * gens_i).
-        """
-        if not self.track:
-            raise ValidationError("SubmoduleGB built without tracking")
-        # the reduction subtracts q * rep_k for every q * gb_k it removes
-        zero_rep = vec_zero(self.ring, len(self.gens))
-        nf, rep = self._reduce_full(tuple(vec), self.gb, self._gb_reps, zero_rep)
-        if not vec_is_zero(nf):
-            return None
-        return tuple(-p for p in rep)
 
 
 # ---------------------------------------------------------------------------
@@ -384,39 +331,13 @@ def _relation_padding(ring, rank, relations):
     return pads
 
 
-def quotient_submodule(ring, rank, gens, relations, track=False):
-    """GB of the submodule of (S/I)^rank generated by gens, computed in S.
-
-    The defining ideal's generators are adjoined on every coordinate, so
-    membership modulo the quotient is plain normal-form vanishing.
-    """
-    all_gens = [tuple(g) for g in gens] + _relation_padding(ring, rank, relations)
-    return SubmoduleGB(ring, rank, all_gens, track=track)
-
-
 def vector_in_span(vec, gens, relations, ring):
-    if not gens:
-        rank = len(vec)
-        sub = quotient_submodule(ring, rank, [], relations)
-        return sub.contains(vec) if relations is not None and relations.gens else vec_is_zero(vec)
-    rank = len(gens[0])
-    sub = quotient_submodule(ring, rank, gens, relations)
-    return sub.contains(vec)
-
-
-def express_in_span(vec, gens, relations, ring):
-    """Cofactors q with vec == sum(q_i * gens_i) modulo the relations, or None."""
-    if not gens:
-        return [] if vec_is_zero(vec) else None
-    rank = len(gens[0])
-    sub = quotient_submodule(ring, rank, gens, relations, track=True)
-    expr = sub.express(tuple(vec))
-    if expr is None:
-        return None
-    cofactors = list(expr[: len(gens)])
-    if relations is not None and relations.gens:
-        cofactors = [relations.normal_form(q) for q in cofactors]
-    return cofactors
+    """Whether vec lies in span(gens) + relations * S^rank, computed in S
+    with the relations adjoined on every coordinate."""
+    padding = _relation_padding(ring, len(vec), relations)
+    if not gens and not padding:
+        return vec_is_zero(vec)
+    return SubmoduleGB(ring, len(vec), [tuple(g) for g in gens] + padding).contains(vec)
 
 
 def module_syzygies(gens, relations, ring, rank=None):

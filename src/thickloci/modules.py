@@ -3,23 +3,71 @@
 A module is the cokernel of a matrix over R = S/I (rows = generators,
 columns = relations).  Minimal resolutions, syzygies, Fitting ideals and
 duals are driven by the syzygy engine of `groebner`, with minimal
-presentations normalized by pivoting on unit entries (exact in the
-graded-local model by Nakayama).  Nonfree loci come from ranks of the
-presentation and its relations over the residue field of each registry
-prime (the Tor_1 criterion); they need no minors and no localization.
+presentations normalized by pivoting on constant entries (exact in the
+graded-local model by Nakayama).  Every matrix is checked to be graded
+where it enters: by `Matrix.parse`, by `ModuleMap` and by the complexes.
+Nonfree loci come from ranks of the presentation and its relations over
+the residue field of each registry prime (the Tor_1 criterion); they need
+no minors and no localization.
 """
 
 from __future__ import annotations
 
-from .errors import RingMismatchError, NotInvertibleError, ValidationError
-from .groebner import (
-    Ideal,
-    express_in_span,
-    module_syzygies,
-    vec_is_zero,
-    vector_in_span,
-)
+from .errors import RingMismatchError, ValidationError
+from .groebner import Ideal, module_syzygies, vec_is_zero, vector_in_span
 from .spectra import SpecSubset, _minors
+
+
+def degrees(vectors):
+    """Degrees d_j of the columns `vectors` such that row shifts e_i exist
+    with deg a_ij = d_j - e_i for every nonzero entry (weighted degrees of
+    the ring).  A breadth-first search over rows and columns fixes each
+    connected part up to a common shift; a zero column gets degree 0.
+    Raises ValidationError naming the entry that breaks the grading."""
+    nrows = len(vectors[0]) if vectors else 0
+    edges = [[] for _ in range(nrows + len(vectors))]
+    for j, col in enumerate(vectors):
+        for i, e in enumerate(col):
+            if e.is_zero():
+                continue
+            if not e.is_homogeneous():
+                raise ValidationError(f"entry {e} at row {i + 1}, column {j + 1} is not homogeneous")
+            edges[i].append((nrows + j, e.degree()))
+            edges[nrows + j].append((i, -e.degree()))
+    level = [None] * len(edges)
+    for root in range(len(edges)):
+        if level[root] is not None:
+            continue
+        level[root] = 0
+        queue = [root]
+        for node in queue:
+            for other, offset in edges[node]:
+                if level[other] is None:
+                    level[other] = level[node] + offset
+                    queue.append(other)
+                elif level[other] != level[node] + offset:
+                    i, j = min(node, other), max(node, other) - nrows
+                    e = vectors[j][i]
+                    raise ValidationError(
+                        f"entry {e} at row {i + 1}, column {j + 1} has degree {e.degree()}, "
+                        f"but the other entries grade it {level[nrows + j] - level[i]}"
+                    )
+    return level[nrows:]
+
+
+def check_graded(ring, ranks, maps, what):
+    """Reject maps between free modules that are not graded compatibly.
+    Free module k has rank ranks[k], and maps[r, c] is a matrix from module
+    c to module r.  `degrees` checks one block matrix that holds each map,
+    with identity blocks tying each module's row copy to its column copy;
+    `what` names the maps in the error."""
+    grid = [[maps.get((r, c)) for c in range(len(ranks))] for r in range(len(ranks))]
+    for k, rank in enumerate(ranks):
+        grid[k][k] = Matrix.identity(ring, rank)
+    try:
+        degrees(Matrix.block(grid).columns())
+    except ValidationError as err:
+        raise ValidationError(f"{what} are not graded compatibly; in their block matrix, {err}") from None
 
 
 class Matrix:
@@ -44,8 +92,8 @@ class Matrix:
     @staticmethod
     def parse(ring, raw, cols=None):
         """A Matrix over R as it is, or rows of Polys or strings over R's
-        polynomial ring reduced mod I; `cols` fixes the width of a matrix
-        without rows."""
+        polynomial ring reduced mod I and checked to be graded (see
+        `degrees`); `cols` fixes the width of a matrix without rows."""
         if isinstance(raw, Matrix):
             if raw.ring is not ring and raw.ring != ring:
                 raise RingMismatchError("matrix over a different ring")
@@ -61,7 +109,9 @@ class Matrix:
                     raise RingMismatchError("matrix entry over a different ring")
                 row.append(ring.nf(entry))
             entries.append(row)
-        return Matrix(ring, entries, cols)
+        matrix = Matrix(ring, entries, cols)
+        degrees(matrix.columns())
+        return matrix
 
     @staticmethod
     def zero(ring, rows, cols):
@@ -198,31 +248,17 @@ def direct_sum(a, b):
 # minimal presentations
 
 
-def ring_inverse(ring, element):
-    """Inverse of a unit of R = S/I; units have nonzero constant term."""
-    e = ring.nf(element)
-    c = e.constant_term()
-    field = ring.base.field
-    if c == field.zero:
-        raise NotInvertibleError(f"{e} lies in the maximal ideal")
-    if e.degree() == 0:
-        return ring.base.constant(field.inv(c))
-    cof = express_in_span((ring.base.one(),), [(e,)], ring.defining, ring.base)
-    if cof is None:
-        raise NotInvertibleError(f"{e} is not invertible in the quotient ring")
-    return cof[0]
-
-
 def minimalize(module):
-    """Pivot away unit entries; idempotent.  Zero rows are retained (they
-    witness free summands); zero relation columns are dropped."""
+    """Pivot away constant entries, the units of a graded matrix; idempotent.
+    Zero rows are retained (they witness free summands); zero relation
+    columns are dropped."""
     ring = module.ring
     mat = [list(row) for row in module.matrix]
     while True:
         pivot = None
         for i, row in enumerate(mat):
             for j, e in enumerate(row):
-                if e.constant_term() != ring.base.field.zero:
+                if e.degree() == 0:
                     pivot = (i, j)
                     break
             if pivot:
@@ -230,7 +266,7 @@ def minimalize(module):
         if pivot is None:
             break
         i, j = pivot
-        u = ring_inverse(ring, mat[i][j])
+        u = ring.base.constant(ring.base.field.inv(mat[i][j].constant_term()))
         ncols = len(mat[0])
         # clear the pivot row by column operations, then the pivot column by
         # row operations; the cleared row makes the second pass local.
@@ -541,6 +577,21 @@ def span_relations(num, den, ring):
     return [v for v in rels if not vec_is_zero(v)]
 
 
+def cofactors(vec, gens, ring):
+    """Cofactors q over R with vec = sum(q_i gens_i), or None.
+
+    Under the position-over-term order the first coordinates of the
+    relations of (vec, gens) hold a Groebner basis of (span(gens) : vec),
+    which contains 1 exactly when some relation starts with a nonzero
+    constant c; then q = -(rest of that relation) / c, whose entries stay
+    normal forms mod I."""
+    for rel in span_relations([vec, *gens], [], ring):
+        if rel[0].degree() == 0:
+            u = ring.base.constant(ring.base.field.inv(rel[0].constant_term()))
+            return [-(u * q) for q in rel[1:]]
+    return None
+
+
 def subquotient(num, den, ring):
     """span(num) / (span(num) ∩ span(den)) as an abstract ModulePres."""
     num = [v for v in num if not vec_is_zero(v)]
@@ -562,6 +613,10 @@ class ModuleMap:
         matrix = Matrix.parse(self.ring, matrix, cols=source.rows)
         if matrix.rows != target.rows or matrix.cols != source.rows:
             raise ValidationError("map matrix shape mismatch")
+        # free modules: target generators and relations, source generators and relations
+        ranks = [target.rows, target.cols, source.rows, source.cols]
+        maps = {(0, 1): target.matrix, (0, 2): matrix, (2, 3): source.matrix}
+        check_graded(self.ring, ranks, maps, "map and presentations")
         self.matrix = matrix
 
     def _lands_in_target(self, vectors):

@@ -107,6 +107,10 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "nonsense")
     assert code == 2
+    code, _, _ = run(capsys, "catalog", "bogus")
+    assert code == 2
+    code, _, _ = run(capsys, "module", "bogus", "--module", "catalog:NODE/k")
+    assert code == 2
 
 
 def test_file_refs(tmp_path, capsys):
@@ -131,6 +135,14 @@ def test_file_refs(tmp_path, capsys):
     code, payload, _ = run_json(capsys, "complex", "locus", "--complex", str(complex_file))
     assert code == 0
     assert payload["w_locus"] == ["m"]
+
+
+def test_ungraded_module_file_is_a_usage_error(tmp_path, capsys):
+    module_file = tmp_path / "mod.json"
+    module_file.write_text(json.dumps({"ring": "catalog:NODE", "matrix": [["1", "x"], ["x", "1"]]}))
+    code, _, err = run(capsys, "module", "locus", "--module", str(module_file))
+    assert code == 2
+    assert "entry 1 at row 2, column 2 has degree 0" in err
 
 
 def test_text_and_json_agree(capsys):

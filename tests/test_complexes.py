@@ -126,6 +126,22 @@ class TestFreeModels:
         assert cone.sup() is None
 
 
+class TestGrading:
+    def test_differentials_must_grade_the_middle_module_alike(self, node):
+        # d_1 gives F_1's generators degrees 1 apart, d_2 gives them equal
+        # degrees; each matrix is graded on its own and d_1 d_2 = xy + x^2 y = 0
+        with pytest.raises(ValidationError, match="differentials are not graded compatibly"):
+            ComplexHandle.free(node.ring, 0, [1, 2, 1], {1: [["x", "x^2"]], 2: [["y"], ["y"]]})
+        ComplexHandle.free(node.ring, 0, [1, 2, 1], {1: [["x", "x^2"]], 2: [["y^2"], ["y"]]})
+
+    def test_chain_map_components_must_share_one_degree(self, node):
+        # both squares commute because xy = 0, but f_0 has degree 1 and f_1 degree 2
+        x = ComplexHandle.free(node.ring, 0, [1, 1], {1: [["x"]]})
+        with pytest.raises(ValidationError, match="chain map and differentials are not graded compatibly"):
+            ComplexMap(x, x, {0: [["y"]], 1: [["y^2"]]})
+        ComplexMap(x, x, {0: [["y"]], 1: [["y"]]})
+
+
 MATRIX_TAKERS = {
     "ModuleMap": lambda cat, m: ModuleMap(cat.sample("R"), cat.sample("R"), m),
     "ComplexHandle.free": lambda cat, m: ComplexHandle.free(cat.ring, 0, [1, 1], {1: m}),

@@ -8,14 +8,16 @@ from oracles import fitting_is_free, localized_is_free, monomials_of_degree
 from thickloci import modules
 from thickloci.arith import Field, PolyRing
 from thickloci.catalog import load
-from thickloci.errors import NotInvertibleError, ValidationError
-from thickloci.groebner import Ideal
+from thickloci.errors import ValidationError
+from thickloci.groebner import Ideal, vector_in_span
 from thickloci.modules import (
     ModuleMap,
     ModulePres,
     Resolution,
     annihilator,
+    cofactors,
     cosyzygy,
+    degrees,
     direct_sum,
     dual,
     fitting_chain,
@@ -30,7 +32,6 @@ from thickloci.modules import (
     quotient_by_prime,
     quotient_module,
     residue_field,
-    ring_inverse,
     sequence_is_exact,
     strip_free,
     syzygy,
@@ -47,10 +48,10 @@ class TestMinimalize:
         m = minimalize(ModulePres(node.ring, [["1"]]))
         assert m.rows == 0 and m.cols == 0
 
-    def test_unit_entry_with_tail(self, dualnum):
-        m = minimalize(ModulePres(dualnum.ring, [["x"], ["1+x"]]))
-        # 1+x is a unit; after pivoting the remaining module is free
-        assert m.cols == 0
+    def test_unit_entry_with_tail_is_rejected(self, dualnum):
+        # 1+x is a unit of R_m, but not homogeneous: the matrix never gets in
+        with pytest.raises(ValidationError, match=r"x \+ 1 at row 2, column 1 is not homogeneous"):
+            ModulePres(dualnum.ring, [["x"], ["1+x"]])
 
     def test_minimal_matrix_unchanged_up_to_zero_columns(self, node):
         m = minimalize(ModulePres(node.ring, [["x", "0"], ["0", "0"]]))
@@ -65,12 +66,36 @@ class TestMinimalize:
         m1 = minimalize(m0)
         assert minimalize(m1) == m1
 
-    def test_ring_inverse(self, dualnum):
-        ring = dualnum.ring
-        inv = ring_inverse(ring, ring.base.parse("1+x"))
-        assert ring.nf(inv * ring.base.parse("1+x")) == ring.base.one()
-        with pytest.raises(NotInvertibleError):
-            ring_inverse(ring, ring.base.parse("x"))
+
+
+class TestGrading:
+    def test_nonhomogeneous_entry_is_rejected(self, node):
+        with pytest.raises(ValidationError, match=r"entry x \+ 1 at row 1, column 1 is not homogeneous"):
+            ModulePres(node.ring, [["1+x"]])
+
+    def test_inconsistent_degrees_are_rejected(self, node):
+        # deg a_11 = d_1 - e_1 is forced to 2 by the other three entries
+        message = r"entry 1 at row 2, column 2 has degree 0, but the other entries grade it 2"
+        with pytest.raises(ValidationError, match=message):
+            ModulePres(node.ring, [["1", "x"], ["x", "1"]])
+
+    def test_weighted_degrees(self, cusp):
+        # x has degree 3 and y degree 2; with unit weights this matrix would not be graded
+        assert degrees(ModulePres(cusp.ring, [["x", "y"], ["y^2", "x"]]).matrix.columns()) == [3, 2]
+
+    def test_map_must_share_the_grading_of_its_presentations(self, node):
+        # the generators of coker [[x], [y^2]] differ in degree by 1, so no
+        # map of one degree sends the generator of R to both of them
+        target = ModulePres(node.ring, [["x"], ["y^2"]])
+        with pytest.raises(ValidationError, match="map and presentations are not graded compatibly"):
+            ModuleMap(free_module(node.ring, 1), target, [["1"], ["1"]])
+        ModuleMap(free_module(node.ring, 1), target, [["1"], ["y"]])
+
+    def test_multiplication_by_x_is_graded(self, node, cusp):
+        k = node.sample("k")
+        assert ModuleMap(k, k, [["x"]]).is_well_defined()
+        n = cusp.sample("N")
+        assert ModuleMap(n, n, [["x", "0"], ["0", "x"]]).is_well_defined()
 
 
 class TestResolutions:
@@ -178,6 +203,52 @@ def random_form(ring, rng, degree):
 
 def ringify(ring, gens):
     return Ideal(ring.base, [ring.base.parse(g) for g in gens])
+
+
+class TestCofactors:
+    def test_cofactors_over_the_node(self, node):
+        ring = node.ring
+        R = ring.base
+        gens = [(R.parse("x"), R.parse("y"))]
+        target = (R.parse("x^2"), R.parse("x*y"))
+        cof = cofactors(target, gens, ring)
+        assert cof is not None
+        for coord in range(2):
+            s = cof[0] * gens[0][coord] - target[coord]
+            assert ring.defining.normal_form(s).is_zero()
+        assert cofactors((R.one(), R.zero()), gens, ring) is None
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_random_graded_combinations(self, seed):
+        """Generator j has entries of degree d_j - e_i and q_j has degree
+        D - d_j, so sum(q_j gens_j) is graded of degree D; its cofactors
+        must rebuild it mod I.  A random vector of degree D gets cofactors
+        exactly when `vector_in_span` says it lies in the span."""
+        rng = random.Random(seed)
+        ring = load(rng.choice(["NODE", "RIBBON", "WHITNEY3", "CUSP"])).ring
+        base, defining = ring.base, ring.defining
+        shifts = [rng.randrange(3) for _ in range(rng.randint(1, 2))]
+        gen_degrees = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        gens = [tuple(random_form(base, rng, d - e) for e in shifts) for d in gen_degrees]
+        top = max(gen_degrees) + rng.randrange(3)
+
+        def combination(qs):
+            return tuple(
+                defining.normal_form(sum((q * g[i] for q, g in zip(qs, gens)), base.zero()))
+                for i in range(len(shifts))
+            )
+
+        vec = combination([random_form(base, rng, top - d) for d in gen_degrees])
+        cof = cofactors(vec, gens, ring)
+        assert cof is not None and combination(cof) == vec
+        other = tuple(random_form(base, rng, top - e) for e in shifts)
+        other = tuple(defining.normal_form(f) for f in other)
+        cof = cofactors(other, gens, ring)
+        if vector_in_span(other, gens, defining, base):
+            assert cof is not None and combination(cof) == other
+        else:
+            assert cof is None
 
 
 class TestNonfreeLocus:
