@@ -50,6 +50,6 @@ from .modules import (
     strip_free,
     syzygy,
 )
-from .spectra import PrimeId, RingFlags, RingPres, SpecSubset, make_ring, singular_locus
+from .spectra import PrimeId, RingPres, SpecSubset, make_ring
 
 __version__ = "0.1.0"

@@ -33,7 +33,7 @@ from .modules import (
     sequence_is_exact,
     syzygy,
 )
-from .spectra import PrimeId, SpecSubset, enumerate_spec_closed_in, make_ring, singular_locus
+from .spectra import PrimeId, SpecSubset, enumerate_spec_closed_in, make_ring
 
 CATALOG_NAMES = ("REGULAR1", "DUALNUM", "NODE", "CUSP", "RIBBON", "WHITNEY3", "QUAD2")
 
@@ -81,15 +81,7 @@ def ring_from_json(data):
         PrimeId(p["name"], Ideal(base, [base.parse(g) for g in p["gens"]]), trusted=p.get("trusted", False))
         for p in data["primes"]
     ]
-    flags = data.get("flags", {})
-    return make_ring(
-        base,
-        defining,
-        registry,
-        gorenstein=flags.get("gorenstein"),
-        lci_punctured=flags.get("lci_punctured"),
-        name=data.get("name"),
-    )
+    return make_ring(base, defining, registry, name=data.get("name"))
 
 
 def _load_json(name):
@@ -228,7 +220,7 @@ def cross_check_lattice(cat):
     if not certified:
         return report
     ring = cat.ring
-    expected_subsets = enumerate_spec_closed_in(ring, singular_locus(ring))
+    expected_subsets = enumerate_spec_closed_in(ring, ring.singular_locus)
     for setting in ("stCM", "CM"):
         lattice = brute_force_thick_lattice(cat, setting)
         report.add(

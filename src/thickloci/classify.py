@@ -28,7 +28,7 @@ from .modules import (
     strip_free,
     syzygy,
 )
-from .spectra import SpecSubset, singular_locus
+from .spectra import SpecSubset
 
 SETTINGS = ("stCM", "CM", "MOD", "DER")
 _CHAIN = list(SETTINGS)  # B - C - D - E adjacency
@@ -76,17 +76,18 @@ def make_descriptor(setting, ring, generators, case=1):
 
 
 def hypotheses_hold(ring, case):
-    """(ok, reason): the flags required for the classification theorems."""
+    """(ok, reason): the ring hypotheses of the classification theorems,
+    derived from the presentation."""
     if case == 1:
-        if not ring.flags.is_hypersurface:
+        if not ring.is_hypersurface:
             return False, "case 1 requires a hypersurface ring"
         return True, None
-    if not ring.flags.is_gorenstein:
+    if not ring.is_gorenstein:
         return False, "case 2 requires a Gorenstein ring"
     if not ring.is_singular():
         return False, "case 2 requires a singular ring"
-    if not ring.flags.lci_punctured:
-        return False, "case 2 requires local complete intersections on the punctured spectrum"
+    if not ring.hypersurface_on_punctured:
+        return False, "case 2 requires a ring that is locally a hypersurface on the punctured spectrum"
     return True, None
 
 
@@ -125,7 +126,7 @@ def locus(descriptor):
 def inverse_descriptor(setting, ring, phi, case=1):
     """Canonical generators realizing the given locus: cyclic modules R/p
     over the basis primes, syzygy-shifted into the MCM settings."""
-    if not singular_locus(ring).contains_subset(phi):
+    if not ring.singular_locus.contains_subset(phi):
         raise ValidationError("locus must be contained in the singular locus")
     if case == 2 and phi.is_empty():
         raise ValidationError("case 2 admits only nonempty loci")
@@ -255,7 +256,7 @@ def verify_roundtrips(ring, case=1):
     ok, reason = hypotheses_hold(ring, case)
     if not ok:
         report.notes.append(f"hypotheses not satisfied: {reason}; round-trips computed anyway")
-    sing = singular_locus(ring)
+    sing = ring.singular_locus
     subsets = enumerate_spec_closed_in(ring, sing)
     if case == 2:
         subsets = [s for s in subsets if not s.is_empty()]

@@ -24,7 +24,6 @@ from .classify import (
 from .complexes import ComplexHandle, ComplexMap, stabilize, w_locus
 from .errors import ResourceBudgetError, ThickLociError
 from .modules import ModulePres, Resolution, fitting_chain, nonfree_locus, pd_finite, q_locus, syzygy
-from .spectra import singular_locus
 from .verify import reports_for, run_all
 
 
@@ -152,7 +151,7 @@ def cmd_catalog(args):
 
 def cmd_ring(args):
     ring = resolve_ring(args.ref)
-    sing = singular_locus(ring)
+    sing = ring.singular_locus
     return {
         "name": ring.name,
         "field_char": ring.base.field.char,
@@ -162,11 +161,12 @@ def cmd_ring(args):
         "registry": sorted(p.name for p in ring.registry),
         "singular_locus": sorted(sing.member_names),
         "flags": {
-            "hypersurface": ring.flags.is_hypersurface,
-            "gorenstein": ring.flags.is_gorenstein,
-            "lci_punctured": ring.flags.lci_punctured,
-            "regular": ring.flags.is_regular,
+            "hypersurface": ring.is_hypersurface,
+            "gorenstein": ring.is_gorenstein,
+            "hypersurface_on_punctured": ring.hypersurface_on_punctured,
+            "regular": ring.is_regular,
         },
+        "trusted_primes": sorted(p.name for p in ring.registry if not p.linear),
     }, 0
 
 

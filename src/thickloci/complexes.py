@@ -24,8 +24,8 @@ from .modules import (
     cosyzygy,
     is_mcm,
     is_zero_module,
-    minimalize,
     nonfree_locus,
+    require_gorenstein,
     span_relations,
     strip_free,
     subquotient,
@@ -316,11 +316,6 @@ class ComplexMap:
 # W locus and stabilization
 
 
-def _require_gorenstein(ring):
-    if not ring.flags.is_gorenstein:
-        raise ValidationError("operation requires a Gorenstein ring")
-
-
 def stabilization_syzygy(handle):
     """(n, N): N = im(d_n) in the free model with n = max(sup+d, sup+1);
     (None, zero module) for the zero object."""
@@ -334,21 +329,21 @@ def stabilization_syzygy(handle):
 
 def w_locus(handle):
     """Registry primes where the complex has infinite projective dimension."""
-    _require_gorenstein(handle.ring)
+    require_gorenstein(handle.ring, "W locus")
     _, n_mod = stabilization_syzygy(handle)
     return nonfree_locus(n_mod)
 
 
 def is_perfect(handle):
-    _require_gorenstein(handle.ring)
     return w_locus(handle).is_empty()
 
 
 def stabilize(handle):
     """Q_R: the MCM module (free summands stripped) representing the image
-    of the complex in the stable category; zero for perfect complexes."""
+    of the complex in the stable category, the n-th cosyzygy of the
+    stabilization syzygy; zero for perfect complexes."""
     ring = handle.ring
-    _require_gorenstein(ring)
+    require_gorenstein(ring, "stabilization")
     n, n_mod = stabilization_syzygy(handle)
     if n is None or is_zero_module(n_mod):
         return ModulePres(ring, [])
@@ -358,8 +353,4 @@ def stabilize(handle):
             f"stabilization syzygy is not maximal Cohen-Macaulay (depth {depth}, dim {dim})"
         )
     result = strip_free(n_mod)
-    for _ in range(n):
-        result = cosyzygy(result)
-        if is_zero_module(result):
-            break
-    return minimalize(result)
+    return cosyzygy(result, n) if n > 0 else result

@@ -20,8 +20,8 @@ class ResourceBudgetError(ThickLociError):
 
 
 class ValidationError(ThickLociError):
-    """Inconsistent input data (flags, registries, non-homogeneous ideals,
-    ungraded matrices)."""
+    """Inconsistent input data (registries, non-homogeneous ideals,
+    ungraded matrices, rings that lack a hypothesis an operation needs)."""
 
 
 class KindMismatchError(ThickLociError):

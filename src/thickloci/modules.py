@@ -397,23 +397,22 @@ def over_ambient(module):
     return ModulePres(amb, Matrix.from_columns(amb, module.matrix.columns() + padding, module.rows))
 
 
-def pd_over_ambient(module):
-    """Projective dimension over S; finite by Hilbert's syzygy theorem.
-    Returns None for the zero module."""
+def betti_over_ambient(module):
+    """Betti numbers over S through the projective dimension, which is
+    finite by Hilbert's syzygy theorem; () for the zero module."""
     amb_mod = over_ambient(module)
     if is_zero_module(amb_mod):
-        return None
-    nvars = module.ring.base.nvars
-    betti = Resolution(amb_mod).betti_numbers(nvars + 1)
-    return max(i for i, b in enumerate(betti) if b)
+        return ()
+    betti = Resolution(amb_mod).betti_numbers(module.ring.base.nvars + 1)
+    return betti[: max(i for i, b in enumerate(betti) if b) + 1]
 
 
 def depth_and_dim(module):
     """(depth, dim) of the module; (None, -1) for the zero module."""
-    pd = pd_over_ambient(module)
-    if pd is None:
+    betti = betti_over_ambient(module)
+    if not betti:
         return None, -1
-    depth = module.ring.base.nvars - pd
+    depth = module.ring.base.nvars - (len(betti) - 1)
     return depth, fitting_chain(module)[0].dimension()
 
 
@@ -425,14 +424,19 @@ def is_mcm(module):
     return depth == module.ring.dim, depth, dim
 
 
+def require_gorenstein(ring, operation):
+    """Raise a ValidationError naming the operation unless R is Gorenstein."""
+    if not ring.is_gorenstein:
+        raise ValidationError(f"{operation} requires a Gorenstein ring")
+
+
 def pd_finite(module):
     """Exact projective dimension over Gorenstein R, or None if infinite.
 
     pd is finite iff the d-th syzygy is free (Auslander-Buchsbaum bound);
     in the minimal resolution that is betti[d + 1] == 0."""
     ring = module.ring
-    if not ring.flags.is_gorenstein:
-        raise ValidationError("projective dimension test requires a Gorenstein ring")
+    require_gorenstein(ring, "projective dimension test")
     if is_zero_module(module):
         return 0
     betti = Resolution(module).betti_numbers(ring.dim + 1)
@@ -507,8 +511,7 @@ def nonfree_locus(module):
 def q_locus(module):
     """Primes where the module has infinite projective dimension."""
     ring = module.ring
-    if not ring.flags.is_gorenstein:
-        raise ValidationError("infinite-pd locus requires a Gorenstein ring")
+    require_gorenstein(ring, "infinite-pd locus")
     return nonfree_locus(syzygy(module, ring.dim))
 
 
@@ -547,18 +550,21 @@ def dual(module):
     return minimalize(ModulePres(ring, Matrix.from_columns(ring, rel, len(gens))))
 
 
-def cosyzygy(module):
-    """Omega^{-1} of an MCM module over a Gorenstein ring, free summands
-    stripped; inverse of the syzygy up to free summands."""
+def cosyzygy(module, n):
+    """Omega^{-n} of an MCM module M over a Gorenstein ring, free summands
+    stripped; inverse of the n-th syzygy up to free summands.
+
+    M* is MCM and the dual of its minimal resolution is exact, so
+    Omega^{-n} M = (Omega^n(M*))* up to free summands (Buchweitz 1986):
+    one resolution and two duals for any n."""
     ring = module.ring
-    if not ring.flags.is_gorenstein:
-        raise ValidationError("cosyzygy requires a Gorenstein ring")
+    require_gorenstein(ring, "cosyzygy")
     if is_zero_module(module):
         return ModulePres(ring, [])
     mcm, _, _ = is_mcm(module)
     if not mcm:
         raise ValidationError("cosyzygy requires a maximal Cohen-Macaulay module")
-    return strip_free(dual(syzygy(dual(module), 1)))
+    return strip_free(dual(syzygy(dual(module), n)))
 
 
 # ---------------------------------------------------------------------------

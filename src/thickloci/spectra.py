@@ -9,7 +9,6 @@ stored as canonical unions of V(p) over registry primes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import RingMismatchError, ValidationError
@@ -30,12 +29,14 @@ def _is_linear_generated(ideal):
 
 
 class PrimeId:
-    """A registered homogeneous prime of R, with provenance of primality."""
+    """A registered homogeneous prime of R, with provenance of primality:
+    derived when the ideal is generated by linear forms, trusted otherwise."""
 
     def __init__(self, name, ideal, trusted=False):
         self.name = name
         self.ideal = ideal
-        self.trusted_prime = trusted or _is_linear_generated(ideal)
+        self.linear = _is_linear_generated(ideal)
+        self.trusted_prime = trusted or self.linear
 
     def contains(self, other):
         """Ideal containment other <= self."""
@@ -51,24 +52,21 @@ class PrimeId:
         return hash((self.name, self.ideal))
 
 
-@dataclass(frozen=True)
-class RingFlags:
-    is_hypersurface: bool = False
-    is_gorenstein: bool = False
-    lci_punctured: bool = False
-    is_regular: bool = False
-
-
 class RingPres:
-    """Standard-graded algebra S/I regarded as local at m = (variables)."""
+    """Standard-graded algebra S/I regarded as local at m = (variables).
 
-    def __init__(self, base, defining, registry, flags, name=None):
+    The ring hypotheses of the classification are derived lazily from the
+    presentation; only the primality of trusted registry primes is taken on
+    trust.
+    """
+
+    def __init__(self, base, defining, registry, name=None):
         self.base = base
         self.defining = defining
         self.registry = tuple(registry)
-        self.flags = flags
         self.name = name
         self.dim = defining.dimension()
+        self.codim = base.nvars - self.dim
 
     # -- lookups -------------------------------------------------------------
 
@@ -95,12 +93,53 @@ class RingPres:
     def is_singular(self):
         return self.maximal_prime() in self.singular_locus.members
 
+    # -- derived hypotheses ----------------------------------------------------
+
+    @cached_property
+    def ambient_betti(self):
+        """Betti numbers of S/I over S, through its projective dimension."""
+        from .modules import betti_over_ambient, free_module
+
+        return betti_over_ambient(free_module(self, 1))
+
+    @cached_property
+    def is_regular(self):
+        return self.defining.is_zero()
+
+    @cached_property
+    def is_hypersurface(self):
+        """I has at most one minimal generator."""
+        return self.is_regular or self.ambient_betti[1] == 1
+
+    @cached_property
+    def is_cohen_macaulay(self):
+        """pd_S(S/I) = codim, by Auslander-Buchsbaum."""
+        return len(self.ambient_betti) - 1 == self.codim
+
+    @cached_property
+    def is_gorenstein(self):
+        """Cohen-Macaulay of type one: the last Betti number of S/I over S is
+        1 (Bruns-Herzog, Cohen-Macaulay Rings, 3.3)."""
+        return self.is_cohen_macaulay and self.ambient_betti[-1] == 1
+
+    @cached_property
+    def hypersurface_on_punctured(self):
+        """R_p is a hypersurface at every prime p other than m.  For CM R of
+        codimension c, R_p is one exactly when the Jacobian has rank at
+        least c - 1 modulo p (Jacobian criterion, exact over the perfect
+        fields F_p and Q), so this fails off m exactly when S/(I + (c-1)-
+        minors) has positive dimension.  False unless R is CM, because the
+        criterion needs equidimensionality."""
+        if not self.is_cohen_macaulay:
+            return False
+        return jacobian_ideal(self, self.codim - 1).dimension() <= 0
+
     @cached_property
     def singular_locus(self):
         """Sing(R) over the registry, canonicalized; empty for regular rings."""
-        if self.flags.is_regular:
+        if self.is_regular:
             return SpecSubset(self, [])
-        jac = jacobian_ideal(self)
+        jac = jacobian_ideal(self, self.codim)
         members = [p for p in self.registry if all(p.ideal.contains_poly(g) for g in jac.gens)]
         return SpecSubset(self, members)
 
@@ -109,8 +148,7 @@ class RingPres:
         """The ambient polynomial ring S wrapped as a (regular) RingPres."""
         base = self.base
         m = PrimeId("m", Ideal(base, [base.var(v) for v in base.vars]))
-        flags = RingFlags(is_hypersurface=True, is_gorenstein=True, lci_punctured=True, is_regular=True)
-        return RingPres(base, Ideal(base, []), [m], flags, name="ambient")
+        return RingPres(base, Ideal(base, []), [m], name="ambient")
 
     def __repr__(self):
         rel = ", ".join(str(g) for g in self.defining.gens) or "0"
@@ -127,23 +165,9 @@ class RingPres:
         return hash((self.base, self.defining.groebner_basis()))
 
 
-def _minimal_generator_count(ideal):
-    gens = [g for g in ideal.gens]
-    kept = []
-    for i, g in enumerate(gens):
-        others = kept + gens[i + 1 :]
-        if not Ideal(ideal.ring, others).contains_poly(g):
-            kept.append(g)
-    return len(kept)
-
-
-def make_ring(base, defining, registry, gorenstein=None, lci_punctured=None, name=None):
-    """Validated graded-local ring presentation with derived flags.
-
-    The hypersurface flag is derived from a principal minimalized defining
-    ideal; Gorenstein and punctured-locus flags must be asserted for
-    non-hypersurface inputs (they are not algorithmically checkable).
-    """
+def make_ring(base, defining, registry, name=None):
+    """Validated graded-local ring presentation; its hypotheses are derived
+    when first read (see RingPres)."""
     if not isinstance(defining, Ideal) or defining.ring != base:
         raise RingMismatchError("defining ideal over a different ring")
     for g in defining.gens:
@@ -167,19 +191,7 @@ def make_ring(base, defining, registry, gorenstein=None, lci_punctured=None, nam
     if not any(p.ideal == m for p in registry):
         raise ValidationError("registry must contain the maximal ideal")
 
-    principal = _minimal_generator_count(defining) <= 1
-    is_hypersurface = principal
-    is_gorenstein = True if is_hypersurface else bool(gorenstein)
-    lci = True if is_hypersurface else bool(lci_punctured)
-    if gorenstein is False and is_hypersurface:
-        raise ValidationError("a hypersurface is Gorenstein; flags contradict")
-    flags = RingFlags(
-        is_hypersurface=is_hypersurface,
-        is_gorenstein=is_gorenstein,
-        lci_punctured=lci,
-        is_regular=defining.is_zero(),
-    )
-    return RingPres(base, defining, registry, flags, name=name)
+    return RingPres(base, defining, registry, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +228,12 @@ def _det(m, ring):
     return total
 
 
-def jacobian_ideal(ring_pres):
-    """I + (c x c minors of the Jacobian of the defining generators)."""
+def jacobian_ideal(ring_pres, size):
+    """I + (size x size minors of the Jacobian of the defining generators)."""
     base = ring_pres.base
     gens = ring_pres.defining.gens
-    codim = base.nvars - ring_pres.dim
     jac = [[g.derivative(v) for v in base.vars] for g in gens]
-    return Ideal(base, list(gens) + _minors(jac, codim, base))
-
-
-def singular_locus(ring_pres):
-    """Sing(R) over the registry, computed once per ring."""
-    return ring_pres.singular_locus
+    return Ideal(base, list(gens) + _minors(jac, size, base))
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,16 @@ from .modules import (
     quotient_by_prime,
     syzygy,
 )
-from .spectra import SpecSubset, singular_locus
+from .spectra import SpecSubset
 
 RESOLUTION_STEPS = 6
 
 
 def ring_case(name):
-    """Case 1 (hypersurface) or case 2 (Gorenstein, lci on the punctured
-    spectrum) of the classification, read off the catalog ring."""
-    return 1 if load(name).ring.flags.is_hypersurface else 2
+    """Case 1 (hypersurface) or case 2 (Gorenstein, locally a hypersurface
+    on the punctured spectrum) of the classification, read off the catalog
+    ring."""
+    return 1 if load(name).ring.is_hypersurface else 2
 
 
 def check_resolutions(cat):
@@ -61,7 +62,7 @@ def _is_specialization_closed(subset):
 def check_locus_laws(cat):
     report = ClassificationReport(cat.name, "locus_laws")
     ring = cat.ring
-    sing = singular_locus(ring)
+    sing = ring.singular_locus
     d = ring.dim
     samples = sorted(cat.samples.items())
     loci = {}
@@ -97,7 +98,7 @@ def check_prime_cyclics(cat):
     """Q(R/p) = V(p) for every registry prime inside the singular locus."""
     report = ClassificationReport(cat.name, "prime_cyclics")
     ring = cat.ring
-    sing = singular_locus(ring)
+    sing = ring.singular_locus
     for p in ring.registry:
         if not sing.contains_prime(p):
             continue

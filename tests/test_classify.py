@@ -1,5 +1,6 @@
 import pytest
 
+from thickloci.arith import Field, PolyRing
 from thickloci.classify import (
     SETTINGS,
     diagram_check,
@@ -13,7 +14,9 @@ from thickloci.classify import (
 )
 from thickloci.complexes import ComplexHandle
 from thickloci.errors import KindMismatchError, ValidationError
-from thickloci.spectra import SpecSubset, enumerate_spec_closed_in, singular_locus
+from thickloci.groebner import Ideal
+from thickloci.modules import quotient_module
+from thickloci.spectra import PrimeId, SpecSubset, enumerate_spec_closed_in, make_ring
 
 
 def names(subset):
@@ -37,7 +40,7 @@ class TestLocus:
         for cat in (node, ribbon, whitney3):
             for name, module in cat.samples.items():
                 d = make_descriptor("MOD", cat.ring, [module])
-                assert singular_locus(cat.ring).contains_subset(locus(d))
+                assert cat.ring.singular_locus.contains_subset(locus(d))
 
     def test_kind_validation(self, node):
         with pytest.raises(KindMismatchError):
@@ -101,6 +104,38 @@ class TestMembership:
             for name, module in cat.samples.items():
                 d = make_descriptor("MOD", cat.ring, [module])
                 assert membership(d, module).status == "in"
+
+
+class TestCase2Hypothesis:
+    """Case 2 needs R locally a hypersurface on the punctured spectrum,
+    which is derived from the presentation and never asserted."""
+
+    XYZ = PolyRing(Field(5), ["x", "y", "z"])
+
+    def ring(self, relations, primes):
+        S = self.XYZ
+        registry = [PrimeId(name, Ideal(S, gens)) for name, gens in primes]
+        return make_ring(S, Ideal(S, relations), registry + [PrimeId("m", Ideal(S, ["x", "y", "z"]))])
+
+    def test_codimension_two_complete_intersection_off_m(self):
+        """F5[x,y,z]/(x^2,y^2) is Gorenstein, but at (x,y) it is a
+        codimension-2 complete intersection, where R/(x) and R/(y) have
+        different support varieties: membership must not be decided."""
+        ring = self.ring(["x^2", "y^2"], [("pxy", ["x", "y"])])
+        assert ring.is_gorenstein
+        assert hypotheses_hold(ring, 2) == (
+            False,
+            "case 2 requires a ring that is locally a hypersurface on the punctured spectrum",
+        )
+        d = make_descriptor("MOD", ring, [quotient_module(ring, ["x"])], case=2)
+        assert membership(d, quotient_module(ring, ["y"])).status == "not_decidable"
+
+    def test_hypersurface_on_punctured_spectrum_without_assertion(self):
+        """F5[x,y,z]/(xy, z^2) needs two relations, yet every localization
+        away from m is a hypersurface."""
+        ring = self.ring(["x*y", "z^2"], [("pxz", ["x", "z"]), ("pyz", ["y", "z"])])
+        assert not ring.is_hypersurface
+        assert hypotheses_hold(ring, 2) == (True, None)
 
 
 class TestTransport:

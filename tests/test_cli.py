@@ -29,6 +29,16 @@ def test_ring_info(capsys):
     assert payload["dim"] == 1
     assert payload["singular_locus"] == []
     assert payload["flags"]["regular"]
+    assert payload["trusted_primes"] == []
+    _, quad2, _ = run_json(capsys, "ring", "info", "catalog:QUAD2")
+    assert quad2["flags"] == {
+        "hypersurface": False,
+        "gorenstein": True,
+        "hypersurface_on_punctured": True,
+        "regular": False,
+    }
+    _, cusp, _ = run_json(capsys, "ring", "info", "catalog:CUSP")
+    assert cusp["trusted_primes"] == ["gen"]
 
 
 def test_module_pd_infinite(capsys):

@@ -8,6 +8,7 @@ from oracles import fitting_is_free, localized_is_free, monomials_of_degree
 from thickloci import modules
 from thickloci.arith import Field, PolyRing
 from thickloci.catalog import load
+from thickloci.complexes import ComplexHandle, stabilize, w_locus
 from thickloci.errors import ValidationError
 from thickloci.groebner import Ideal, vector_in_span
 from thickloci.modules import (
@@ -36,7 +37,7 @@ from thickloci.modules import (
     strip_free,
     syzygy,
 )
-from thickloci.spectra import PrimeId, SpecSubset, make_ring, singular_locus
+from thickloci.spectra import PrimeId, SpecSubset, make_ring
 
 
 def names(subset):
@@ -342,13 +343,51 @@ class TestDualCosyzygy:
     def test_cosyzygy_inverts_syzygy(self, node, ribbon, dualnum):
         for cat, name in ((node, "Rx"), (ribbon, "Rx"), (dualnum, "k")):
             m = cat.sample(name)
-            back = syzygy(cosyzygy(m), 1)
+            back = syzygy(cosyzygy(m, 1), 1)
             assert Resolution(strip_free(back)).betti_numbers(3) == Resolution(m).betti_numbers(3)
             assert nonfree_locus(back) == nonfree_locus(m)
 
     def test_cosyzygy_requires_mcm(self, node):
         with pytest.raises(ValidationError):
-            cosyzygy(node.sample("k"))
+            cosyzygy(node.sample("k"), 1)
+
+    def test_one_resolution_matches_iterated_cosyzygies(self, node, ribbon, dualnum, cusp, whitney3, quad2):
+        """Omega^{-k} N through one resolution of N* agrees with k single
+        cosyzygies on the MCM modules N = Omega^d M of the catalog samples
+        (CUSP's k and QUAD2's mm are left out: their syzygies repeat N's
+        and k's)."""
+        samples = (
+            (node, "k"), (node, "Rx"), (node, "Ry"), (ribbon, "k"), (ribbon, "Rx"),
+            (dualnum, "k"), (cusp, "N"), (whitney3, "k"), (whitney3, "Rx"), (quad2, "k"),
+        )
+        for cat, name in samples:
+            n = strip_free(syzygy(cat.sample(name), cat.ring.dim))
+            step = n
+            for k in (1, 2, 3):
+                step = cosyzygy(step, 1)
+                once = cosyzygy(n, k)
+                assert (once.rows, once.cols) == (step.rows, step.cols), (cat.name, name, k)
+                assert nonfree_locus(once) == nonfree_locus(step), (cat.name, name, k)
+                assert Resolution(once).betti_numbers(3) == Resolution(step).betti_numbers(3)
+
+
+class TestGorensteinGuard:
+    def test_operations_refuse_a_ring_that_is_not_gorenstein(self):
+        """F5[x,y]/(x,y)^2 has type 2, so every operation that needs a
+        Gorenstein ring refuses it, naming itself."""
+        S = PolyRing(Field(5), ["x", "y"])
+        ring = make_ring(S, Ideal(S, ["x^2", "x*y", "y^2"]), [PrimeId("m", Ideal(S, ["x", "y"]))])
+        k = residue_field(ring)
+        delta = ComplexHandle.delta(k)
+        for operation, call in (
+            ("projective dimension test", lambda: pd_finite(k)),
+            ("infinite-pd locus", lambda: q_locus(k)),
+            ("cosyzygy", lambda: cosyzygy(k, 1)),
+            ("W locus", lambda: w_locus(delta)),
+            ("stabilization", lambda: stabilize(delta)),
+        ):
+            with pytest.raises(ValidationError, match=f"^{operation} requires a Gorenstein ring$"):
+                call()
 
 
 class TestQLocus:

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from thickloci import modules
 from thickloci.arith import Field, PolyRing
 from thickloci.errors import ValidationError
 from thickloci.groebner import Ideal
@@ -8,27 +10,28 @@ from thickloci.spectra import (
     SpecSubset,
     enumerate_spec_closed_in,
     make_ring,
-    singular_locus,
 )
 
 
 def test_singular_loci_of_catalog(node, regular1, ribbon, whitney3, cusp, quad2):
-    assert singular_locus(regular1.ring).is_empty()
-    assert sorted(singular_locus(node.ring).member_names) == ["m"]
-    assert sorted(singular_locus(cusp.ring).member_names) == ["m"]
+    assert regular1.ring.singular_locus.is_empty()
+    assert sorted(node.ring.singular_locus.member_names) == ["m"]
+    assert sorted(cusp.ring.singular_locus.member_names) == ["m"]
     # char 2 kills the Jacobian of x^2: everything is singular
-    assert sorted(singular_locus(ribbon.ring).member_names) == ["m", "px"]
-    assert len(singular_locus(whitney3.ring).members) == 5
-    assert sorted(singular_locus(quad2.ring).member_names) == ["m"]
+    assert sorted(ribbon.ring.singular_locus.member_names) == ["m", "px"]
+    assert len(whitney3.ring.singular_locus.members) == 5
+    assert sorted(quad2.ring.singular_locus.member_names) == ["m"]
 
 
 def test_flags(node, quad2, regular1, cusp):
-    assert node.ring.flags.is_hypersurface
-    assert node.ring.flags.is_gorenstein
-    assert regular1.ring.flags.is_regular
-    assert not quad2.ring.flags.is_hypersurface
-    assert quad2.ring.flags.is_gorenstein
-    assert cusp.ring.flags.is_hypersurface
+    assert node.ring.is_hypersurface
+    assert node.ring.is_gorenstein
+    assert regular1.ring.is_regular
+    assert not quad2.ring.is_hypersurface
+    assert quad2.ring.is_gorenstein
+    assert cusp.ring.is_hypersurface
+    assert quad2.ring.ambient_betti == (1, 2, 1)
+    assert quad2.ring.hypersurface_on_punctured
     assert node.ring.is_singular() and not regular1.ring.is_singular()
 
 
@@ -67,7 +70,7 @@ class TestSpecSubset:
 
     def test_enumeration_counts(self, node, ribbon, whitney3, quad2):
         def count(cat):
-            return len(enumerate_spec_closed_in(cat.ring, singular_locus(cat.ring)))
+            return len(enumerate_spec_closed_in(cat.ring, cat.ring.singular_locus))
 
         assert count(node) == 2
         assert count(ribbon) == 3
@@ -75,7 +78,7 @@ class TestSpecSubset:
         assert count(quad2) == 2  # empty set and {m}
 
     def test_enumeration_is_sorted_and_distinct(self, whitney3):
-        subs = enumerate_spec_closed_in(whitney3.ring, singular_locus(whitney3.ring))
+        subs = enumerate_spec_closed_in(whitney3.ring, whitney3.ring.singular_locus)
         names = [tuple(sorted(s.member_names)) for s in subs]
         assert len(set(names)) == len(names)
         sizes = [len(s.members) for s in subs]
@@ -122,4 +125,52 @@ class TestMakeRing:
         m = PrimeId("m", Ideal(R, [R.parse("x"), R.parse("y")]))
         # two generators that minimalize to one
         ring = make_ring(R, Ideal(R, [R.parse("x^2"), R.parse("x^3")]), [m])
-        assert ring.flags.is_hypersurface
+        assert ring.is_hypersurface
+
+    def test_builds_no_resolution(self, monkeypatch):
+        """The hypotheses are derived when first read, not by make_ring."""
+
+        def refuse(*args):
+            raise AssertionError("make_ring built a resolution")
+
+        monkeypatch.setattr(modules.Resolution, "__init__", refuse)
+        S = PolyRing(Field(5), ["x", "y", "z"])
+        make_ring(S, Ideal(S, ["x^2", "y^2", "z^2"]), [PrimeId("m", Ideal(S, ["x", "y", "z"]))])
+
+
+XYZ = PolyRing(Field(5), ["x", "y", "z"])
+MAXIMAL = PrimeId("m", Ideal(XYZ, ["x", "y", "z"]))
+
+
+def _divides(a, b):
+    return all(i <= j for i, j in zip(a, b))
+
+
+def _monomial(exps):
+    return "*".join(f"{v}^{e}" for v, e in zip(XYZ.vars, exps) if e)
+
+
+class TestDerivedHypotheses:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.tuples(*[st.integers(1, 3)] * 3),
+        st.lists(st.tuples(*[st.integers(0, 3)] * 3).filter(any), max_size=2),
+    )
+    def test_artinian_monomial_ideals(self, powers, extra):
+        """An Artinian monomial ideal is Gorenstein exactly when its minimal
+        generators are powers of single variables, and its punctured
+        spectrum is empty."""
+        pure = [tuple(a if i == j else 0 for j in range(3)) for i, a in enumerate(powers)]
+        gens = set(pure) | set(extra)
+        minimal = [g for g in gens if not any(h != g and _divides(h, g) for h in gens)]
+        expected = all(sum(1 for e in g if e) == 1 for g in minimal)
+        ring = make_ring(XYZ, Ideal(XYZ, [_monomial(g) for g in sorted(gens)]), [MAXIMAL])
+        assert ring.is_gorenstein == expected
+        assert ring.hypersurface_on_punctured
+
+    def test_not_gorenstein(self):
+        """(x,y)^2 in F5[x,y] has Betti numbers (1,3,2): type 2."""
+        S = PolyRing(Field(5), ["x", "y"])
+        ring = make_ring(S, Ideal(S, ["x^2", "x*y", "y^2"]), [PrimeId("m", Ideal(S, ["x", "y"]))])
+        assert ring.ambient_betti == (1, 3, 2)
+        assert ring.is_cohen_macaulay and not ring.is_gorenstein
