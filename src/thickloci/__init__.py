@@ -31,7 +31,6 @@ from .modules import (
     ModuleMap,
     ModulePres,
     Resolution,
-    annihilator,
     cosyzygy,
     direct_sum,
     dual,

@@ -63,12 +63,12 @@ def make_descriptor(setting, ring, generators, case=1):
                 raise ValidationError("generator over a different ring")
     if setting == "CM":
         for g in gens:
-            if not is_zero_module(g) and not is_mcm(g)[0]:
+            if not is_zero_module(g) and not is_mcm(g):
                 raise ValidationError("CM generators must be maximal Cohen-Macaulay")
     if setting == "stCM":
         for g in gens:
             s = strip_free(g)
-            if not is_zero_module(s) and not is_mcm(s)[0]:
+            if not is_zero_module(s) and not is_mcm(s):
                 raise ValidationError("stCM generators must be MCM up to free summands")
     if case == 2:
         notes.append("case 2: base objects adjoined automatically")

@@ -22,13 +22,13 @@ from .modules import (
     check_graded,
     cofactors,
     cosyzygy,
-    is_mcm,
     is_zero_module,
     nonfree_locus,
     require_gorenstein,
     span_relations,
     strip_free,
     subquotient,
+    syzygy,
 )
 
 
@@ -340,17 +340,15 @@ def is_perfect(handle):
 
 def stabilize(handle):
     """Q_R: the MCM module (free summands stripped) representing the image
-    of the complex in the stable category, the n-th cosyzygy of the
-    stabilization syzygy; zero for perfect complexes."""
+    of the complex in the stable category, Sigma^n N for the stabilization
+    syzygy N: its n-th cosyzygy for n > 0, its -n-th syzygy otherwise;
+    zero for perfect complexes.  N is a d-th syzygy over a Gorenstein ring,
+    hence MCM, so it is not checked here."""
     ring = handle.ring
     require_gorenstein(ring, "stabilization")
     n, n_mod = stabilization_syzygy(handle)
     if n is None or is_zero_module(n_mod):
         return ModulePres(ring, [])
-    mcm, depth, dim = is_mcm(n_mod)
-    if not mcm:
-        raise ValidationError(
-            f"stabilization syzygy is not maximal Cohen-Macaulay (depth {depth}, dim {dim})"
-        )
-    result = strip_free(n_mod)
-    return cosyzygy(result, n) if n > 0 else result
+    if n > 0:
+        return cosyzygy(strip_free(n_mod), n)
+    return strip_free(syzygy(n_mod, -n))

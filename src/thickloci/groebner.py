@@ -281,23 +281,6 @@ class Ideal:
         self._check(other)
         return Ideal(self.ring, self.gens + other.gens)
 
-    def intersection(self, other):
-        """I ∩ J as the images sum(v_j * b_j) of the syzygies v of
-        (b_1, ..., b_n, a_1, ..., a_m), where the b generate `other` and
-        the a generate `self`."""
-        self._check(other)
-        if not self.gens or not other.gens:
-            return Ideal(self.ring, [])
-        syz = module_syzygies([(g,) for g in other.gens + self.gens], None, self.ring)
-        images = []
-        for v in syz:
-            image = self.ring.zero()
-            for c, b in zip(v, other.gens):
-                if c:
-                    image = image + c * b
-            images.append(image)
-        return Ideal(self.ring, images)
-
     def dimension(self):
         """Krull dimension of S/I via leading-term combinatorics; -1 if unit."""
         gb = self.groebner_basis()

@@ -407,21 +407,12 @@ def betti_over_ambient(module):
     return betti[: max(i for i, b in enumerate(betti) if b) + 1]
 
 
-def depth_and_dim(module):
-    """(depth, dim) of the module; (None, -1) for the zero module."""
-    betti = betti_over_ambient(module)
-    if not betti:
-        return None, -1
-    depth = module.ring.base.nvars - (len(betti) - 1)
-    return depth, fitting_chain(module)[0].dimension()
-
-
 def is_mcm(module):
-    """(mcm?, depth, dim); the zero module reports (False, None, -1)."""
-    depth, dim = depth_and_dim(module)
-    if depth is None:
-        return False, None, -1
-    return depth == module.ring.dim, depth, dim
+    """depth M == dim R, with depth M = nvars - pd_S(M) by Auslander-Buchsbaum;
+    dim M is never needed, since depth M <= dim M <= dim R.  The zero module
+    is not MCM."""
+    betti = betti_over_ambient(module)
+    return bool(betti) and module.ring.base.nvars - (len(betti) - 1) == module.ring.dim
 
 
 def require_gorenstein(ring, operation):
@@ -515,22 +506,6 @@ def q_locus(module):
     return nonfree_locus(syzygy(module, ring.dim))
 
 
-def annihilator(module):
-    m = minimalize(module)
-    ring = module.ring
-    base = ring.base
-    if m.rows == 0:
-        return Ideal(base, [base.one()])
-    result = None
-    cols = m.matrix.columns()
-    for e_i in Matrix.identity(ring, m.rows).columns():
-        syz = module_syzygies([e_i] + cols, ring.defining, base, rank=m.rows)
-        gens = [v[0] for v in syz if not v[0].is_zero()]
-        ideal_i = Ideal(base, gens + list(ring.defining.gens))
-        result = ideal_i if result is None else result.intersection(ideal_i)
-    return Ideal(base, list(result.groebner_basis()) + list(ring.defining.gens))
-
-
 # ---------------------------------------------------------------------------
 # duals and cosyzygies
 
@@ -561,8 +536,7 @@ def cosyzygy(module, n):
     require_gorenstein(ring, "cosyzygy")
     if is_zero_module(module):
         return ModulePres(ring, [])
-    mcm, _, _ = is_mcm(module)
-    if not mcm:
+    if not is_mcm(module):
         raise ValidationError("cosyzygy requires a maximal Cohen-Macaulay module")
     return strip_free(dual(syzygy(dual(module), n)))
 

@@ -104,12 +104,13 @@ class RingPres:
 
     @cached_property
     def is_regular(self):
-        return self.defining.is_zero()
+        """m is not in the singular locus (the Jacobian criterion at m)."""
+        return not self.is_singular()
 
     @cached_property
     def is_hypersurface(self):
         """I has at most one minimal generator."""
-        return self.is_regular or self.ambient_betti[1] == 1
+        return self.defining.is_zero() or self.ambient_betti[1] == 1
 
     @cached_property
     def is_cohen_macaulay(self):
@@ -136,9 +137,8 @@ class RingPres:
 
     @cached_property
     def singular_locus(self):
-        """Sing(R) over the registry, canonicalized; empty for regular rings."""
-        if self.is_regular:
-            return SpecSubset(self, [])
+        """Sing(R) over the registry, canonicalized; empty for I = 0, whose
+        Jacobian ideal of size codim = 0 is the unit ideal."""
         jac = jacobian_ideal(self, self.codim)
         members = [p for p in self.registry if all(p.ideal.contains_poly(g) for g in jac.gens)]
         return SpecSubset(self, members)

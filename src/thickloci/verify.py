@@ -76,8 +76,7 @@ def check_locus_laws(cat):
             f"{name}: Q(M) = nonfree locus of the d-th syzygy",
             q == nonfree_locus(syzygy(module, d)),
         )
-        mcm, _, _ = is_mcm(module)
-        if mcm:
+        if is_mcm(module):
             report.add(f"{name}: MCM has Q = V", q == nonfree_locus(module))
     for (n1, m1), (n2, m2) in zip(samples, samples[1:]):
         both = q_locus(direct_sum(m1, m2))
@@ -125,7 +124,7 @@ def check_stabilization(cat):
         if is_zero_module(stab):
             report.add(f"delta {name}: perfect complexes stabilize to zero", w.is_empty())
         else:
-            report.add(f"delta {name}: stabilization is MCM", is_mcm(stab)[0])
+            report.add(f"delta {name}: stabilization is MCM", is_mcm(stab))
     free_handle = ComplexHandle.delta(cat.sample("R"))
     report.add("delta R stabilizes to zero", is_zero_module(stabilize(free_handle)))
     return report

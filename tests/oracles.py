@@ -3,11 +3,12 @@
 Membership is decided by exact linear algebra over F_p in a fixed degree,
 with no Groebner machinery.  Local freeness is decided twice: by explicit
 unit pivoting in the localization, and by the Fitting criterion; both ask
-the engine only for ideal membership, intersections and Fitting ideals,
-and read annihilators off the colon ideal defined here.
+the engine only for ideal membership, syzygies and Fitting ideals.  The
+intersections, and the annihilators read off the colon ideal, are defined
+here.
 """
 
-from thickloci.groebner import Ideal
+from thickloci.groebner import Ideal, module_syzygies
 from thickloci.modules import fitting_chain
 
 
@@ -141,11 +142,29 @@ def exact_divide(g, f):
     return q
 
 
+def intersection(a, b):
+    """a ∩ b as the images sum(v_j * g_j) of the syzygies v of
+    (g_1, ..., g_n, f_1, ..., f_m), where the g generate b and the f
+    generate a."""
+    ring = a.ring
+    if not a.gens or not b.gens:
+        return Ideal(ring, [])
+    syz = module_syzygies([(g,) for g in b.gens + a.gens], None, ring)
+    images = []
+    for v in syz:
+        image = ring.zero()
+        for c, g in zip(v, b.gens):
+            if c:
+                image = image + c * g
+        images.append(image)
+    return Ideal(ring, images)
+
+
 def colon(ideal, f):
     """(ideal : f) = {g : g*f in ideal} for f nonzero, read off
     ideal ∩ (f) = f * (ideal : f)."""
     ring = ideal.ring
-    inter = ideal.intersection(Ideal(ring, [f]))
+    inter = intersection(ideal, Ideal(ring, [f]))
     return Ideal(ring, [exact_divide(g, f) for g in inter.groebner_basis()])
 
 

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 from thickloci.catalog import (
     CATALOG_NAMES,
+    CatalogSequence,
     brute_force_thick_lattice,
     certify_omega_table,
     cross_check_lattice,
@@ -11,7 +13,7 @@ from thickloci.catalog import (
     ring_from_json,
 )
 from thickloci.errors import ValidationError
-from thickloci.modules import sequence_is_exact
+from thickloci.modules import ModuleMap, ModulePres, sequence_is_exact
 
 
 def test_all_entries_load():
@@ -41,8 +43,6 @@ def test_broken_sequence_fails_validation(node):
         "primes": [{"name": "m", "gens": ["x", "y"]}],
     }
     ring = ring_from_json(data)
-    from thickloci.modules import ModuleMap, ModulePres
-
     sub = ModulePres(ring, [["y"]])
     mid = ModulePres(ring, [()])
     quot = ModulePres(ring, [["x"]])
@@ -58,6 +58,32 @@ class TestOmegaTables:
         assert certify_omega_table(node)
         assert certify_omega_table(dualnum)
         assert certify_omega_table(cusp)
+
+    @pytest.mark.parametrize(
+        "name, label, targets",
+        [("NODE", "Rx", ["Rx"]), ("CUSP", "N", ["R"]), ("DUALNUM", "k", []), ("NODE", "R", ["Rx"])],
+    )
+    def test_wrong_tables_are_rejected(self, name, label, targets):
+        cat = load(name)
+        wrong = dataclasses.replace(cat, omega={**cat.omega, label: targets})
+        assert not certify_omega_table(wrong)
+
+    def test_a_cover_that_is_not_minimal_proves_nothing(self, node):
+        """R + R/(y) -> R^2 -> R/(x) is exact, but R^2 is not a minimal
+        cover of R/(x), so it does not show Omega(R/(x)) = R + R/(y)."""
+        ring = node.ring
+        samples = {**node.samples, "R2": ModulePres(ring, [[], []]), "R+Ry": ModulePres(ring, [["0"], ["y"]])}
+        inj = ModuleMap(samples["R+Ry"], samples["R2"], [["0", "x"], ["1", "0"]])
+        surj = ModuleMap(samples["R2"], samples["Rx"], [["1", "0"]])
+        assert sequence_is_exact(inj, surj)
+        wrong = dataclasses.replace(
+            node,
+            samples=samples,
+            sequences=[*node.sequences, CatalogSequence("R+Ry", "R2", "Rx", inj, surj)],
+            omega={**node.omega, "Rx": ["R", "Ry"]},
+            decompositions={"R+Ry": ["R", "Ry"]},
+        )
+        assert not certify_omega_table(wrong)
 
     def test_tables_absent_where_expected(self, ribbon, whitney3, regular1):
         for cat in (ribbon, whitney3, regular1):

@@ -41,6 +41,22 @@ def test_ring_info(capsys):
     assert cusp["trusted_primes"] == ["gen"]
 
 
+def test_ring_info_derives_regularity(tmp_path, capsys):
+    ring = {
+        "name": "line",
+        "field": {"char": 5},
+        "vars": ["x", "y"],
+        "relations": ["x"],
+        "primes": [{"name": "px", "gens": ["x"]}, {"name": "m", "gens": ["x", "y"]}],
+    }
+    ring_file = tmp_path / "ring.json"
+    ring_file.write_text(json.dumps(ring))
+    code, payload, _ = run_json(capsys, "ring", "info", str(ring_file))
+    assert code == 0
+    assert payload["singular_locus"] == []
+    assert payload["flags"]["regular"] is True
+
+
 def test_module_pd_infinite(capsys):
     code, payload, _ = run_json(capsys, "module", "pd", "--ring", "catalog:NODE", "--module", "catalog:NODE/k")
     assert code == 0

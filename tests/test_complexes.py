@@ -233,7 +233,15 @@ class TestStabilize:
                 stab = stabilize(h)
                 assert nonfree_locus(stab) == w_locus(h), (cat.name, name)
                 if not is_zero_module(stab):
-                    assert is_mcm(stab)[0], (cat.name, name)
+                    assert is_mcm(stab), (cat.name, name)
+
+    @pytest.mark.parametrize("label, other", [("Rx", "Ry"), ("Ry", "Rx")])
+    def test_negative_shifts_take_syzygies(self, node, label, other):
+        """Sigma^s M = Omega^{-s} M for s < 0, and Omega swaps R/(x) and
+        R/(y) over the node."""
+        h = ComplexHandle.delta(node.sample(label))
+        for s, expected in ((-2, label), (-3, other)):
+            assert stabilize(ComplexHandle.shift(h, s)) == node.sample(expected), s
 
     def test_mcm_fixed_at_invariant_level(self, node):
         m = node.sample("Rx")

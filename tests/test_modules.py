@@ -15,7 +15,6 @@ from thickloci.modules import (
     ModuleMap,
     ModulePres,
     Resolution,
-    annihilator,
     cofactors,
     cosyzygy,
     degrees,
@@ -31,7 +30,6 @@ from thickloci.modules import (
     pd_finite,
     q_locus,
     quotient_by_prime,
-    quotient_module,
     residue_field,
     sequence_is_exact,
     strip_free,
@@ -318,17 +316,17 @@ class TestNonfreeLocus:
         assert is_zero_module(zero)
         assert names(nonfree_locus(zero)) == []
         assert names(q_locus(zero)) == []
-        assert is_mcm(zero) == (False, None, -1)
+        assert is_mcm(zero) is False
 
 
 class TestDepthDim:
     def test_node_samples(self, node):
-        assert is_mcm(node.sample("Rx")) == (True, 1, 1)
-        assert is_mcm(node.sample("k")) == (False, 0, 0)
-        assert is_mcm(node.sample("R")) == (True, 1, 1)
+        assert is_mcm(node.sample("Rx")) is True
+        assert is_mcm(node.sample("k")) is False
+        assert is_mcm(node.sample("R")) is True
 
     def test_quad2(self, quad2):
-        assert is_mcm(residue_field(quad2.ring)) == (True, 0, 0)
+        assert is_mcm(residue_field(quad2.ring)) is True
 
 
 class TestDualCosyzygy:
@@ -407,21 +405,6 @@ class TestQLocus:
         w = whitney3.ring
         for p in w.registry:
             assert q_locus(quotient_by_prime(w, p)) == SpecSubset(w, [p])
-
-
-class TestAnnihilator:
-    def test_cyclic_annihilators(self, node):
-        ring = node.ring
-        ann = annihilator(node.sample("Rx"))
-        assert ann == ringify(ring, ["x"])
-        assert annihilator(free_module(ring, 2)) == ring.defining
-        assert annihilator(ModulePres(ring, [["1"]])).is_unit()
-
-    def test_direct_sum_annihilator_is_an_intersection(self, quad2):
-        """Over F5[x,y]/(x^2,y^2): ann(R/(x) ⊕ R/(y)) = (x) ∩ (y) = m^2."""
-        ring = quad2.ring
-        module = direct_sum(quotient_module(ring, ["x"]), quotient_module(ring, ["y"]))
-        assert annihilator(module) == ringify(ring, ["x^2", "x*y", "y^2"])
 
 
 class TestModuleMaps:

@@ -33,6 +33,7 @@ def test_flags(node, quad2, regular1, cusp):
     assert quad2.ring.ambient_betti == (1, 2, 1)
     assert quad2.ring.hypersurface_on_punctured
     assert node.ring.is_singular() and not regular1.ring.is_singular()
+    assert not node.ring.is_regular
 
 
 def test_dimensions(node, dualnum, whitney3, quad2):
