@@ -118,7 +118,14 @@ def certify_omega_table(cat):
     label L with targets T needs a stored sequence T -> F -> L whose sub
     decomposes into T and whose middle term is free of rank mu(L): `load`
     has checked the sequence exact, so F -> L is a minimal free cover and
-    Omega(L) = T.  A label without targets must be free."""
+    Omega(L) = T.  A label without targets must be free.  Decompositions
+    are proved first, and only into free parts: the sample and its parts
+    are free, and the parts' ranks sum to the sample's rank."""
+    for name, parts in cat.decompositions.items():
+        free, rank = is_free(cat.sample(name))
+        covers = [is_free(cat.sample(part)) for part in parts]
+        if not (free and all(f for f, _ in covers) and sum(r for _, r in covers) == rank):
+            return False
     for label in cat.labels:
         targets = sorted(cat.omega.get(label, []))
         free, rank = is_free(cat.sample(label))

@@ -337,14 +337,6 @@ def module_syzygies(gens, relations, ring, rank=None):
         rank = len(gens[0])
     if any(len(g) != rank for g in gens):
         raise RingMismatchError("mixed ranks in syzygy input")
-    if rank == 0:
-        # the zero module: everything is a syzygy
-        out = []
-        for i in range(s):
-            v = list(vec_zero(ring, s))
-            v[i] = ring.one()
-            out.append(tuple(v))
-        return out
     total = rank + s
     embedded = []
     for i, g in enumerate(gens):

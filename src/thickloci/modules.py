@@ -268,8 +268,8 @@ def minimalize(module):
         i, j = pivot
         u = ring.base.constant(ring.base.field.inv(mat[i][j].constant_term()))
         ncols = len(mat[0])
-        # clear the pivot row by column operations, then the pivot column by
-        # row operations; the cleared row makes the second pass local.
+        # clear the pivot row by column operations; row operations would
+        # then change only the pivot column, which is deleted with the row.
         for l in range(ncols):
             if l == j:
                 continue
@@ -278,14 +278,6 @@ def minimalize(module):
                 continue
             for k in range(len(mat)):
                 mat[k][l] = ring.nf(mat[k][l] - factor * mat[k][j])
-        for k in range(len(mat)):
-            if k == i:
-                continue
-            factor = ring.nf(mat[k][j] * u)
-            if factor.is_zero():
-                continue
-            for l in range(ncols):
-                mat[k][l] = ring.nf(mat[k][l] - factor * mat[i][l])
         mat = [
             [row[l] for l in range(ncols) if l != j]
             for k, row in enumerate(mat)

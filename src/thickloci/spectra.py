@@ -2,8 +2,12 @@
 
 The spectrum is a finite, certified registry of homogeneous primes: small
 by construction, with primality decided for linear-generator ideals and
-trusted from the catalog otherwise.  Specialization-closed subsets are
-stored as canonical unions of V(p) over registry primes.
+trusted from the catalog otherwise.  Each ring computes the containment
+order of its registry once (`RingPres.specializations`: every prime's name
+mapped to the names of the registry primes containing it, i.e. V(p) inside
+the registry).  A specialization-closed subset is stored as the frozenset of
+its members' names, a union of such up-sets, so that building, uniting and
+comparing loci is set algebra on names and runs no ideal computation.
 """
 
 from __future__ import annotations
@@ -45,12 +49,6 @@ class PrimeId:
     def __repr__(self):
         return f"PrimeId({self.name})"
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeId) and self.name == other.name and self.ideal == other.ideal
-
-    def __hash__(self):
-        return hash((self.name, self.ideal))
-
 
 class RingPres:
     """Standard-graded algebra S/I regarded as local at m = (variables).
@@ -70,28 +68,31 @@ class RingPres:
 
     # -- lookups -------------------------------------------------------------
 
-    @property
-    def maximal_ideal(self):
-        return Ideal(self.base, [self.base.var(v) for v in self.base.vars])
-
     def prime(self, name):
         for p in self.registry:
             if p.name == name:
                 return p
         raise ValidationError(f"no registered prime named {name!r}")
 
+    @cached_property
     def maximal_prime(self):
-        m = self.maximal_ideal
+        m = Ideal(self.base, [self.base.var(v) for v in self.base.vars])
         for p in self.registry:
             if p.ideal == m:
                 return p
-        raise ValidationError("registry does not contain the maximal ideal")
+        raise ValidationError("registry must contain the maximal ideal")
+
+    @cached_property
+    def specializations(self):
+        """Name of each registry prime -> names of the registry primes that
+        contain it, i.e. V(p) inside the registry."""
+        return {p.name: frozenset(q.name for q in self.registry if q.contains(p)) for p in self.registry}
 
     def nf(self, f):
         return self.defining.normal_form(f)
 
     def is_singular(self):
-        return self.maximal_prime() in self.singular_locus.members
+        return self.singular_locus.contains_prime(self.maximal_prime)
 
     # -- derived hypotheses ----------------------------------------------------
 
@@ -109,8 +110,15 @@ class RingPres:
 
     @cached_property
     def is_hypersurface(self):
-        """I has at most one minimal generator."""
-        return self.defining.is_zero() or self.ambient_betti[1] == 1
+        """At most one minimal generator of I lies in m^2: beta_1(S/I) less
+        the rank of the Jacobian at m, the number of minimal generators
+        with independent linear parts, is at most one."""
+        from .modules import _rank_at
+
+        if self.defining.is_zero():
+            return True
+        jac = [[g.derivative(v) for v in self.base.vars] for g in self.defining.gens]
+        return self.ambient_betti[1] - _rank_at(self.maximal_prime, jac) <= 1
 
     @cached_property
     def is_cohen_macaulay(self):
@@ -187,11 +195,13 @@ def make_ring(base, defining, registry, name=None):
                 raise ValidationError(f"non-homogeneous prime generator in {p.name}")
         if not all(p.ideal.contains_poly(g) for g in defining.gens):
             raise ValidationError(f"registry ideal {p.name} does not contain the defining ideal")
-    m = Ideal(base, [base.var(v) for v in base.vars])
-    if not any(p.ideal == m for p in registry):
-        raise ValidationError("registry must contain the maximal ideal")
-
-    return RingPres(base, defining, registry, name=name)
+    for p, q in itertools.combinations(registry, 2):
+        if p.name == q.name or p.ideal == q.ideal:
+            shared = "a name" if p.name == q.name else "an ideal"
+            raise ValidationError(f"registry primes {p.name} {p.ideal} and {q.name} {q.ideal} share {shared}")
+    ring = RingPres(base, defining, registry, name=name)
+    ring.maximal_prime  # raises unless the registry holds (variables)
+    return ring
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +224,6 @@ def _minors(matrix, size, ring):
 
 def _det(m, ring):
     n = len(m)
-    if n == 0:
-        return ring.one()
     if n == 1:
         return m[0][0]
     total = ring.zero()
@@ -243,34 +251,18 @@ def jacobian_ideal(ring_pres, size):
 class SpecSubset:
     """Finite union of V(p) over registry primes, in canonical form.
 
-    The denoted set is the specialization closure inside the registry; the
-    basis is the antichain of containment-minimal members, sorted by name.
+    The denoted set is the specialization closure inside the registry,
+    stored as the names of its members; the basis is the antichain of
+    containment-minimal members, sorted by name.
     """
 
     def __init__(self, ring, primes):
         self.ring = ring
-        members = []
-        for q in ring.registry:
-            if any(q.contains(p) for p in primes):
-                members.append(q)
-        self.members = tuple(members)
-        basis = [
-            p
-            for p in members
-            if not any(o is not p and p.contains(o) and not o.contains(p) for o in members)
-        ]
-        # drop duplicates by ideal, keep one representative per ideal
-        seen = []
-        uniq = []
-        for p in sorted(basis, key=lambda p: p.name):
-            if not any(p.ideal == s for s in seen):
-                seen.append(p.ideal)
-                uniq.append(p)
-        self.basis = tuple(uniq)
-
-    @property
-    def member_names(self):
-        return frozenset(p.name for p in self.members)
+        up = ring.specializations
+        self.member_names = frozenset().union(*(up[p.name] for p in primes))
+        self.members = tuple(p for p in ring.registry if p.name in self.member_names)
+        below = {n for p in self.members for n in up[p.name] if n != p.name}
+        self.basis = tuple(sorted((p for p in self.members if p.name not in below), key=lambda p: p.name))
 
     def _check(self, other):
         if other.ring != self.ring:
@@ -287,12 +279,11 @@ class SpecSubset:
         return not self.members
 
     def contains_prime(self, q):
-        """True when V(q) is covered, i.e. some basis prime is below q."""
-        return any(q.contains(p) for p in self.basis)
+        return q.name in self.member_names
 
     def contains_subset(self, other):
         self._check(other)
-        return set(other.member_names) <= set(self.member_names)
+        return other.member_names <= self.member_names
 
     def __eq__(self, other):
         if not isinstance(other, SpecSubset):

@@ -49,14 +49,9 @@ def check_resolutions(cat):
 
 
 def _is_specialization_closed(subset):
-    ring = subset.ring
-    members = set(subset.member_names)
-    for p in ring.registry:
-        if p.name in members:
-            for q in ring.registry:
-                if q.contains(p) and q.name not in members:
-                    return False
-    return True
+    up = subset.ring.specializations
+    names = subset.member_names
+    return all(up[n] <= names for n in names)
 
 
 def check_locus_laws(cat):

@@ -80,9 +80,21 @@ class TestOmegaTables:
             node,
             samples=samples,
             sequences=[*node.sequences, CatalogSequence("R+Ry", "R2", "Rx", inj, surj)],
-            omega={**node.omega, "Rx": ["R", "Ry"]},
-            decompositions={"R+Ry": ["R", "Ry"]},
+            omega={**node.omega, "Rx": ["R+Ry"]},
         )
+        assert not certify_omega_table(wrong)
+
+    @pytest.mark.parametrize(
+        "omega, decompositions",
+        [
+            # would let the stored R/(y) -> R -> R/(x) prove Omega(R/(x)) = R/(x)
+            ({"Rx": ["Rx"]}, {"Ry": ["Rx"]}),
+            ({}, {"R": ["Rx"]}),
+            ({}, {"R": ["R", "R"]}),
+        ],
+    )
+    def test_unproved_decompositions_are_rejected(self, node, omega, decompositions):
+        wrong = dataclasses.replace(node, omega={**node.omega, **omega}, decompositions=decompositions)
         assert not certify_omega_table(wrong)
 
     def test_tables_absent_where_expected(self, ribbon, whitney3, regular1):

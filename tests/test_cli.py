@@ -57,6 +57,27 @@ def test_ring_info_derives_regularity(tmp_path, capsys):
     assert payload["flags"]["regular"] is True
 
 
+@pytest.mark.parametrize(
+    "relations, regular, hypersurface",
+    [(["x", "y"], True, True), (["x", "y^2"], False, True), (["x^2", "y^2"], False, False), (["x*y", "z^2"], False, False)],
+)
+def test_ring_info_hypersurface_is_a_property_of_the_ring(tmp_path, capsys, relations, regular, hypersurface):
+    """At most one minimal generator of I lies in m^2, however R = S/I is
+    presented: S/(x, y) is regular, so a hypersurface."""
+    ring = {
+        "field": {"char": 5},
+        "vars": ["x", "y", "z"],
+        "relations": relations,
+        "primes": [{"name": "m", "gens": ["x", "y", "z"]}],
+    }
+    ring_file = tmp_path / "ring.json"
+    ring_file.write_text(json.dumps(ring))
+    code, payload, _ = run_json(capsys, "ring", "info", str(ring_file))
+    assert code == 0
+    assert payload["flags"]["regular"] is regular
+    assert payload["flags"]["hypersurface"] is hypersurface
+
+
 def test_module_pd_infinite(capsys):
     code, payload, _ = run_json(capsys, "module", "pd", "--ring", "catalog:NODE", "--module", "catalog:NODE/k")
     assert code == 0
@@ -92,6 +113,41 @@ def test_complex_commands(capsys):
     assert code == 0 and payload["w_locus"] == ["m"]
     code, payload, _ = run_json(capsys, "complex", "stabilize", "--complex", "catalog:NODE/Rx")
     assert code == 0 and payload["matrix"] == [["x"]]
+
+
+RX = {"kind": "delta", "module": {"matrix": [["x"]]}}
+
+
+def _complex_file(tmp_path, complex_):
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps({"ring": "catalog:NODE", "complex": complex_}))
+    return str(path)
+
+
+def test_complex_file_kinds(tmp_path, capsys):
+    free = _complex_file(tmp_path, {"kind": "free", "range": [0, 1], "ranks": [1, 1], "diffs": {"1": [["x"]]}})
+    assert run_json(capsys, "complex", "sup", "--complex", free)[1] == {"sup": 1}
+    assert run_json(capsys, "complex", "locus", "--complex", free)[1] == {"w_locus": []}
+    shift = _complex_file(tmp_path, {"kind": "shift", "of": RX, "by": 1})
+    assert run_json(capsys, "complex", "locus", "--complex", shift)[1] == {"w_locus": ["m"]}
+    assert run_json(capsys, "complex", "stabilize", "--complex", shift)[1]["matrix"] == [["y"]]
+    cone = _complex_file(tmp_path, {"kind": "cone", "map": {"source": RX, "target": RX, "components": {"0": [["1"]]}}})
+    assert run_json(capsys, "complex", "sup", "--complex", cone)[1] == {"sup": "-inf"}
+
+
+def test_module_syzygy(capsys):
+    code, payload, _ = run_json(capsys, "module", "syzygy", "--module", "catalog:NODE/Rx")
+    assert code == 0
+    assert payload["matrix"] == [["y"]]
+
+
+def test_classify_locus_and_diagram(capsys):
+    code, payload, _ = run_json(capsys, "classify", "locus", "--ring", "catalog:NODE", "--setting", "MOD", "--gen", "k")
+    assert code == 0
+    assert payload["locus"] == ["m"]
+    code, payload, _ = run_json(capsys, "classify", "diagram", "--ring", "catalog:NODE")
+    assert code == 0
+    assert payload["pass"]
 
 
 def test_classify_roundtrip(capsys):

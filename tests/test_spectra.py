@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thickloci import modules
+from thickloci import groebner, modules
 from thickloci.arith import Field, PolyRing
 from thickloci.errors import ValidationError
 from thickloci.groebner import Ideal
@@ -78,6 +78,29 @@ class TestSpecSubset:
         assert count(whitney3) == 10
         assert count(quad2) == 2  # empty set and {m}
 
+    def test_locus_algebra_runs_no_ideal_computation(self, whitney3, monkeypatch):
+        """Once the registry's containment order is known, building, uniting,
+        comparing and enumerating loci is set algebra on prime names."""
+        ring = whitney3.ring
+        sing = ring.singular_locus
+        up = ring.specializations
+
+        def refuse(*args):
+            raise AssertionError("a locus operation computed a normal form")
+
+        monkeypatch.setattr(groebner.SubmoduleGB, "normal_form", refuse)
+        subs = enumerate_spec_closed_in(ring, sing)
+        assert len(subs) == 10
+        for p in ring.registry:
+            single = SpecSubset(ring, [p])
+            assert single.member_names == up[p.name]
+            assert [q.name for q in single.basis] == [p.name]
+            assert single.contains_prime(p) and sing.contains_subset(single) == sing.contains_prime(p)
+        union = subs[1] | subs[2]
+        assert union == SpecSubset(ring, list(subs[1].basis) + list(subs[2].basis))
+        assert union.contains_subset(subs[1]) and union.contains_subset(subs[2])
+        assert len({hash(s) for s in subs}) == len(subs)
+
     def test_enumeration_is_sorted_and_distinct(self, whitney3):
         subs = enumerate_spec_closed_in(whitney3.ring, whitney3.ring.singular_locus)
         names = [tuple(sorted(s.member_names)) for s in subs]
@@ -98,6 +121,15 @@ class TestMakeRing:
         px = PrimeId("px", Ideal(R, [R.parse("x")]))
         with pytest.raises(ValidationError):
             make_ring(R, Ideal(R, []), [px])
+
+    def test_rejects_a_repeated_name_or_ideal(self):
+        R = PolyRing(Field(5), ["x", "y"])
+        m = PrimeId("m", Ideal(R, ["x", "y"]))
+        node = Ideal(R, ["x*y"])
+        with pytest.raises(ValidationError, match=r"primes p Ideal\(x\) and p Ideal\(y\) share a name"):
+            make_ring(R, node, [PrimeId("p", Ideal(R, ["x"])), PrimeId("p", Ideal(R, ["y"])), m])
+        with pytest.raises(ValidationError, match=r"primes m Ideal\(x, y\) and mm Ideal\(y, x\) share an ideal"):
+            make_ring(R, node, [m, PrimeId("mm", Ideal(R, ["y", "x"]))])
 
     def test_registry_primes_must_contain_defining_ideal(self):
         R = PolyRing(Field(5), ["x", "y"])
