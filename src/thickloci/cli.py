@@ -40,13 +40,24 @@ def _parse_ref(ref):
 
 
 def _read_file(path, build):
-    """build(data) from a JSON file; a key the file lacks is a usage error."""
+    """build(data) from a JSON file; text that is not JSON, or a key the
+    file lacks, is a usage error."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path}: not valid JSON: {exc.msg} at line {exc.lineno}, column {exc.colno}") from None
     try:
         return build(data)
     except KeyError as exc:
         raise UsageError(f"{path}: missing key {exc.args[0]!r}") from None
+
+
+def _sample_ref(ring_ref, name):
+    """The ref of a --gen or --object name: a sample of the catalog ring
+    `ring_ref`, or else a file."""
+    kind, ring_name, _ = _parse_ref(ring_ref)
+    return f"catalog:{ring_name}/{name}" if kind == "catalog" else name
 
 
 def resolve_ring(ref):
@@ -201,13 +212,8 @@ def cmd_complex(args):
 
 
 def _descriptor_from_args(args, ring):
-    kind, name, _ = _parse_ref(args.ring)
-    gens = []
-    for g in args.gen or []:
-        if args.setting == "DER":
-            gens.append(resolve_complex(f"catalog:{name}/{g}" if kind == "catalog" else g))
-        else:
-            gens.append(resolve_module(f"catalog:{name}/{g}" if kind == "catalog" else g, ring))
+    refs = [_sample_ref(args.ring, g) for g in args.gen or []]
+    gens = [resolve_complex(ref) if args.setting == "DER" else resolve_module(ref, ring) for ref in refs]
     return make_descriptor(args.setting, ring, gens, args.case)
 
 
@@ -217,10 +223,10 @@ def cmd_classify(args):
         report = verify_roundtrips(ring, args.case)
         return report.to_dict(), 0 if report.passed else 1
     if args.action == "diagram":
-        cat = load(_parse_ref(args.ring)[1]) if args.ring.startswith("catalog:") else None
         if args.gen:
-            fixtures = [[resolve_module(f"catalog:{cat.name}/{g}") for g in args.gen]]
-        elif cat is not None:
+            fixtures = [[resolve_module(_sample_ref(args.ring, g), ring) for g in args.gen]]
+        elif args.ring.startswith("catalog:"):
+            cat = load(_parse_ref(args.ring)[1])
             fixtures = [[m] for n, m in sorted(cat.samples.items()) if n != "R"]
         else:
             raise UsageError("diagram needs --gen fixtures for file-based rings")
@@ -232,8 +238,7 @@ def cmd_classify(args):
     if args.action == "member":
         if not args.object:
             raise UsageError("classify member needs --object")
-        kind, name, _ = _parse_ref(args.ring)
-        ref = f"catalog:{name}/{args.object}" if kind == "catalog" else args.object
+        ref = _sample_ref(args.ring, args.object)
         obj = resolve_complex(ref) if args.setting == "DER" else resolve_module(ref, ring)
         verdict = membership(desc, obj)
         return {"status": verdict.status, "reason": verdict.reason}, 0

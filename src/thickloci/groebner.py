@@ -323,7 +323,7 @@ def vector_in_span(vec, gens, relations, ring):
     return SubmoduleGB(ring, len(vec), [tuple(g) for g in gens] + padding).contains(vec)
 
 
-def module_syzygies(gens, relations, ring, rank=None):
+def module_syzygies(gens, relations, ring):
     """Generators of the syzygy module of `gens` over R = S/relations.
 
     gens are vectors in S^rank; returns vectors a in S^len(gens) with
@@ -333,8 +333,7 @@ def module_syzygies(gens, relations, ring, rank=None):
     s = len(gens)
     if s == 0:
         return []
-    if rank is None:
-        rank = len(gens[0])
+    rank = len(gens[0])
     if any(len(g) != rank for g in gens):
         raise RingMismatchError("mixed ranks in syzygy input")
     total = rank + s

@@ -4,11 +4,13 @@ A module is the cokernel of a matrix over R = S/I (rows = generators,
 columns = relations).  Minimal resolutions, syzygies, Fitting ideals and
 duals are driven by the syzygy engine of `groebner`, with minimal
 presentations normalized by pivoting on constant entries (exact in the
-graded-local model by Nakayama).  Every matrix is checked to be graded
-where it enters: by `Matrix.parse`, by `ModuleMap` and by the complexes.
-Nonfree loci come from ranks of the presentation and its relations over
-the residue field of each registry prime (the Tor_1 criterion); they need
-no minors and no localization.
+graded-local model by Nakayama).  The same pivots choose each resolution
+step's minimal generators: applied to the relations among the step's
+candidate columns, they drop exactly the redundant columns.  Every matrix
+is checked to be graded where it enters: by `Matrix.parse`, by `ModuleMap`
+and by the complexes.  Nonfree loci come from ranks of the presentation
+and its relations over the residue field of each registry prime (the Tor_1
+criterion); they need no minors and no localization.
 """
 
 from __future__ import annotations
@@ -248,12 +250,13 @@ def direct_sum(a, b):
 # minimal presentations
 
 
-def minimalize(module):
-    """Pivot away constant entries, the units of a graded matrix; idempotent.
-    Zero rows are retained (they witness free summands); zero relation
-    columns are dropped."""
-    ring = module.ring
-    mat = [list(row) for row in module.matrix]
+def _pivot_units(ring, rows):
+    """Pivot away constant entries, the units of a graded matrix given by
+    its rows; returns the indices of the rows that remain and the reduced
+    rows.  Only column operations are used, so the remaining columns still
+    span the relations among the remaining rows.  Zero columns are dropped."""
+    mat = [list(row) for row in rows]
+    kept = list(range(len(mat)))
     while True:
         pivot = None
         for i, row in enumerate(mat):
@@ -283,12 +286,20 @@ def minimalize(module):
             for k, row in enumerate(mat)
             if k != i
         ]
+        del kept[i]
         if mat and not mat[0]:
             break
     if mat:
         keep = [j for j in range(len(mat[0])) if any(not mat[i][j].is_zero() for i in range(len(mat)))]
         mat = [[row[j] for j in keep] for row in mat]
-    return ModulePres(ring, Matrix(ring, mat))
+    return kept, mat
+
+
+def minimalize(module):
+    """Pivot away constant entries, the units of a graded matrix; idempotent.
+    Zero rows are retained (they witness free summands); zero relation
+    columns are dropped."""
+    return ModulePres(module.ring, Matrix(module.ring, _pivot_units(module.ring, module.matrix)[1]))
 
 
 def is_zero_module(module):
@@ -312,48 +323,27 @@ def is_free(module):
 # syzygies and resolutions
 
 
-def minimal_generators(vectors, ring):
-    """Greedy reduction to a minimal generating set over R (graded Nakayama:
-    a homogeneous generator is redundant iff it lies in the span of the
-    others)."""
-    current = [v for v in vectors if not vec_is_zero(v)]
-    i = 0
-    while i < len(current):
-        others = current[:i] + current[i + 1 :]
-        if vector_in_span(current[i], others, ring.defining, ring.base):
-            current.pop(i)
-        else:
-            i += 1
-    return current
-
-
-def syzygy_generators(vectors, ring):
-    """Minimal generating set of the syzygy module of `vectors` over R."""
-    return minimal_generators(span_relations(vectors, [], ring), ring)
-
-
 class Resolution:
-    """Minimal free resolution, extended lazily to any length."""
+    """Minimal free resolution, extended lazily to any length.  Each step
+    keeps the candidate columns that survive the unit pivots of their
+    relations; the relations left among them are the next candidates."""
 
     def __init__(self, module):
-        self.module = module
         self.ring = module.ring
         start = minimalize(module)
-        cols = minimal_generators(start.matrix.columns(), self.ring) if start.cols else []
-        d1 = ModulePres(self.ring, Matrix.from_columns(self.ring, cols, start.rows))
-        self.start = start
-        self.differentials = [d1]
-        self.betti = [start.rows, d1.cols]
+        self._candidates = start.matrix.columns()
+        self.differentials = []
+        self.betti = [start.rows]
+        self.extend(1)
 
     def extend(self, steps):
         """Ensure betti has length steps + 1 (differentials d_1 .. d_steps)."""
         while len(self.differentials) < steps:
-            last = self.differentials[-1]
-            if last.cols == 0:
-                nxt = ModulePres(self.ring, [])
-            else:
-                syz = syzygy_generators(last.matrix.columns(), self.ring)
-                nxt = ModulePres(self.ring, Matrix.from_columns(self.ring, syz, last.cols))
+            cols = self._candidates
+            rels = span_relations(cols, [], self.ring)
+            kept, rest = _pivot_units(self.ring, list(zip(*rels)) or [()] * len(cols))
+            nxt = ModulePres(self.ring, Matrix.from_columns(self.ring, [cols[i] for i in kept], self.betti[-1]))
+            self._candidates = list(zip(*rest))
             self.differentials.append(nxt)
             self.betti.append(nxt.cols)
         return self
@@ -542,9 +532,7 @@ def span_relations(num, den, ring):
     sum(a_i num_i) falling into span(den) over R."""
     if not num:
         return []
-    rank = len(num[0])
-    combined = list(num) + list(den)
-    syz = module_syzygies(combined, ring.defining, ring.base, rank=rank)
+    syz = module_syzygies(list(num) + list(den), ring.defining, ring.base)
     rels = [v[: len(num)] for v in syz]
     return [v for v in rels if not vec_is_zero(v)]
 

@@ -5,10 +5,11 @@ with no Groebner machinery.  Local freeness is decided twice: by explicit
 unit pivoting in the localization, and by the Fitting criterion; both ask
 the engine only for ideal membership, syzygies and Fitting ideals.  The
 intersections, and the annihilators read off the colon ideal, are defined
-here.
+here.  Minimal generators are chosen by span tests alone, the greedy way,
+as a reference for the resolutions.
 """
 
-from thickloci.groebner import Ideal, module_syzygies
+from thickloci.groebner import Ideal, module_syzygies, vec_is_zero, vector_in_span
 from thickloci.modules import fitting_chain
 
 
@@ -234,3 +235,22 @@ def localized_is_free(module, prime):
         if not mat or not mat[0]:
             break
     return all(_vanishes_locally(ring, e, prime) for row in mat for e in row)
+
+
+# ---------------------------------------------------------------------------
+# greedy minimal generators
+
+
+def minimal_generators(vectors, ring):
+    """Greedy reduction to a minimal generating set over R (graded Nakayama:
+    a homogeneous generator is redundant iff it lies in the span of the
+    others), with one span test per generator."""
+    current = [v for v in vectors if not vec_is_zero(v)]
+    i = 0
+    while i < len(current):
+        others = current[:i] + current[i + 1 :]
+        if vector_in_span(current[i], others, ring.defining, ring.base):
+            current.pop(i)
+        else:
+            i += 1
+    return current

@@ -265,3 +265,30 @@ def test_spair_budget_exhaustion_exits_3(monkeypatch, capsys):
     code, _, err = run(capsys, "module", "resolve", "--module", "catalog:NODE/k")
     assert code == 3
     assert "S-pair budget" in err
+
+
+def test_diagram_over_a_file_ring_resolves_file_generators(tmp_path, capsys):
+    ring = {
+        "name": "file-node",
+        "field": {"char": 5},
+        "vars": ["x", "y"],
+        "relations": ["x*y"],
+        "primes": [{"name": "px", "gens": ["x"]}, {"name": "py", "gens": ["y"]}, {"name": "m", "gens": ["x", "y"]}],
+    }
+    ring_file = tmp_path / "ring.json"
+    ring_file.write_text(json.dumps(ring))
+    module_file = tmp_path / "mod.json"
+    module_file.write_text(json.dumps({"ring": str(ring_file), "matrix": [["x"]]}))
+    code, payload, _ = run_json(capsys, "classify", "diagram", "--ring", str(ring_file), "--gen", str(module_file))
+    assert code == 0
+    assert payload["pass"]
+    assert len(payload["entries"]) == 18
+    assert all(entry["pass"] for entry in payload["entries"])
+
+
+def test_file_that_is_not_json_is_a_usage_error(tmp_path, capsys):
+    module_file = tmp_path / "mod.json"
+    module_file.write_text('{"ring": "catalog:NODE", "matrix": [["x"]')
+    code, _, err = run(capsys, "module", "pd", "--module", str(module_file))
+    assert code == 2
+    assert str(module_file) in err and "not valid JSON" in err

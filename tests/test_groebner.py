@@ -193,7 +193,7 @@ class TestSyzygies:
         R = R2()
         node = Ideal(R, [R.parse("x*y")])
         gens = [(R.parse("x"),), (R.parse("y"),)]
-        syz = module_syzygies(gens, node, R, rank=1)
+        syz = module_syzygies(gens, node, R)
         expected = [(R.parse("y"), R.zero()), (R.zero(), R.parse("x"))]
         for v in expected:
             assert vector_in_span(v, syz, node, R)
@@ -211,7 +211,7 @@ class TestSyzygies:
                 (random_homogeneous(R, rng, 1), random_homogeneous(R, rng, 2)),
                 (random_homogeneous(R, rng, 2), random_homogeneous(R, rng, 3)),
             ]
-            syz = module_syzygies(gens, rel, R, rank=2)
+            syz = module_syzygies(gens, rel, R)
             for v in syz:
                 for coord in range(2):
                     s = R.zero()

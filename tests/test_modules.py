@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import fitting_is_free, localized_is_free, monomials_of_degree
+from oracles import fitting_is_free, localized_is_free, minimal_generators, monomials_of_degree
 from thickloci import modules
 from thickloci.arith import Field, PolyRing
 from thickloci.catalog import load
@@ -12,6 +12,7 @@ from thickloci.complexes import ComplexHandle, stabilize, w_locus
 from thickloci.errors import ValidationError
 from thickloci.groebner import Ideal, vector_in_span
 from thickloci.modules import (
+    Matrix,
     ModuleMap,
     ModulePres,
     Resolution,
@@ -32,6 +33,7 @@ from thickloci.modules import (
     quotient_by_prime,
     residue_field,
     sequence_is_exact,
+    span_relations,
     strip_free,
     syzygy,
 )
@@ -117,6 +119,42 @@ class TestResolutions:
         assert om.rows == 2 and om.cols == 2
         assert Resolution(om).betti_numbers(3) == (2, 2, 2, 2)
 
+    def test_resolution_makes_no_span_test(self, monkeypatch):
+        """Each step keeps the columns left by the unit pivots of its own
+        relations, so resolving k over F5[x,y,z]/(x^2,y^2,z^2) tests no
+        membership; its Betti numbers are binomial(n + 2, 2)."""
+
+        def refuse(*args):
+            raise AssertionError("the resolution made a span test")
+
+        monkeypatch.setattr(modules, "vector_in_span", refuse)
+        S = PolyRing(Field(5), ["x", "y", "z"])
+        ring = make_ring(S, Ideal(S, ["x^2", "y^2", "z^2"]), [PrimeId("m", Ideal(S, ["x", "y", "z"]))])
+        assert Resolution(residue_field(ring)).betti_numbers(6) == (1, 3, 6, 10, 15, 21, 28)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_random_presentations_against_greedy_generators(self, seed):
+        """Against a reference that picks each step's generators from the
+        relations of the last by span tests: the same Betti numbers through
+        four steps and the same d_1; every differential is minimal, and
+        consecutive differentials compose to zero."""
+        rng = random.Random(seed)
+        ring = load(rng.choice(["NODE", "RIBBON", "WHITNEY3", "CUSP", "QUAD2", "DUALNUM"])).ring
+        module = random_presentation(ring, rng)
+        res = Resolution(module).extend(4)
+        start = minimalize(module)
+        cols = minimal_generators(start.matrix.columns(), ring)
+        assert res.differentials[0].matrix == Matrix.from_columns(ring, cols, start.rows)
+        betti = [start.rows, len(cols)]
+        for _ in range(3):
+            cols = minimal_generators(span_relations(cols, [], ring), ring)
+            betti.append(len(cols))
+        assert res.betti == betti
+        assert all(d.minimal for d in res.differentials)
+        for a, b in zip(res.differentials, res.differentials[1:]):
+            assert (a.matrix @ b.matrix).is_zero()
+
 
 class TestFreenessAndPd:
     def test_free_module_detection(self, node):
@@ -200,6 +238,14 @@ def random_form(ring, rng, degree):
     return form
 
 
+def random_presentation(ring, rng):
+    """A random graded presentation: entry (i, j) is a random form of
+    degree d_j - e_i (0 when that is negative)."""
+    shifts = [rng.randrange(3) for _ in range(rng.randint(1, 3))]
+    column_degrees = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+    return ModulePres(ring, [[random_form(ring.base, rng, d - e) for d in column_degrees] for e in shifts])
+
+
 def ringify(ring, gens):
     return Ideal(ring.base, [ring.base.parse(g) for g in gens])
 
@@ -280,9 +326,7 @@ class TestNonfreeLocus:
         Fitting criterion at every registry prime."""
         rng = random.Random(seed)
         ring = load(rng.choice(["NODE", "RIBBON", "WHITNEY3", "CUSP"])).ring
-        shifts = [rng.randrange(3) for _ in range(rng.randint(1, 3))]
-        degrees = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
-        module = ModulePres(ring, [[random_form(ring.base, rng, d - e) for d in degrees] for e in shifts])
+        module = random_presentation(ring, rng)
         got = nonfree_locus(module).member_names
         for p in ring.registry:
             engine_free = p.name not in got
